@@ -205,18 +205,32 @@ def train_csvm(X, y, kernel: KernelSpec | None = None, C_svm: float = 1.0,
                     X_sv=Xn[keep], bias=bias, norm_stats=stats)
 
 
+def _margins(m: SvmModel, X) -> np.ndarray:
+    """Signed margin of every row of a raw-space query block.
+
+    Each support vector adds its weighted kernel values into one accumulator
+    over the whole block; with no support vectors every margin is the bias.
+    """
+    X = np.asarray(X, dtype=float)
+    d = m.X_sv.shape[1]
+    if X.ndim != 2 or X.shape[1] != d:
+        raise DimensionMismatch(f"expected a 2-d query matrix of {d} features, got shape {X.shape}")
+    Xn = normalize_apply(m.norm_stats, X)
+    acc = np.zeros(Xn.shape[0])
+    for w, sv in zip(m.betas * m.labels, m.X_sv):
+        acc += w * kernel_row(m.kernel, sv, Xn)
+    return acc + m.bias
+
+
 def svm_decision(m: SvmModel, x) -> float:
     """Signed margin of one raw-space query point."""
-    xn = (np.asarray(x, dtype=float) - m.norm_stats.mean) / m.norm_stats.std
-    if m.betas.size == 0:
-        return m.bias
-    k = kernel_row(m.kernel, xn, m.X_sv)
-    return float(np.dot(m.betas * m.labels, k) + m.bias)
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise DimensionMismatch(
+            f"expected a vector of {m.X_sv.shape[1]} features, got shape {x.shape}")
+    return float(_margins(m, x[np.newaxis, :])[0])
 
 
 def predict_csvm(m: SvmModel, X) -> np.ndarray:
     """LOW where the margin is strictly positive; sign zero goes to HIGH."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise DimensionMismatch(f"expected a 2-d query matrix, got shape {X.shape}")
-    return np.array([LOW if svm_decision(m, row) > 0.0 else HIGH for row in X], dtype=int)
+    return np.where(_margins(m, X) > 0.0, LOW, HIGH)

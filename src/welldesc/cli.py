@@ -3,9 +3,11 @@
 Settings resolve in three layers: built-in defaults, then a flat key=value
 config file (# starts a comment), then command-line flags.
 
-Exit codes: 0 ok, 2 bad configuration or input schema, 3 cleaning removed
-every row, 4 no minority rows left to train on, 5 a trainer failed to
-converge (the report is still written with NA cells).
+Exit codes: 0 ok, 2 bad configuration or input schema, a missing file, or
+any other WelldescError without a code of its own, 3 cleaning removed every
+row, 4 no minority rows left to train on, 5 a trainer failed to converge
+(the report is still written with NA cells). No toolkit error leaves as a
+traceback.
 """
 
 import argparse
@@ -33,17 +35,13 @@ from .dataio import (
 )
 from .errors import (
     EmptyResult,
-    InfeasibleCost,
     InvalidConfig,
     InvalidK,
     MalformedFile,
     NoMinorityTrainingData,
     NonConvergence,
-    NonNumericCell,
-    SingleClassInput,
-    SingleRowWell,
     UndefinedClassAccuracy,
-    UnknownWell,
+    WelldescError,
 )
 from .evaluation import RunRecord, compare_report, confusion, g_mean, sensitivity, specificity, timed
 from .kernels import KernelSpec
@@ -380,16 +378,15 @@ def main(argv=None) -> int:
     try:
         settings = _resolve_settings(args)
         return args.func(settings)
-    except (InvalidConfig, InvalidK, InfeasibleCost, MalformedFile, NonNumericCell,
-            UnknownWell, SingleRowWell, SingleClassInput, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except EmptyResult as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except NoMinorityTrainingData as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except (WelldescError, FileNotFoundError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

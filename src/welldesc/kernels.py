@@ -75,9 +75,13 @@ class KernelSpec:
 
 
 def _rows_core(spec: KernelSpec, x: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    # One point against each row of Y. Every family reduces along the last
-    # axis with the same numpy machinery, so a 1-row call and a row inside a
-    # larger block produce bit-identical values.
+    # One point against each row of Y, or row-wise pairs when x and Y have
+    # the same shape. Every family works elementwise and reduces along the
+    # last axis with the same numpy machinery, so a 1-row call and a row
+    # inside a larger block produce bit-identical values. Batched scoring
+    # relies on this: kernel_row(spec, sv, Xq) evaluates a stored vector
+    # against a whole query block and must match, value for value, the
+    # per-query call kernel_row(spec, xq, X_sv).
     if spec.family == POLYNOMIAL:
         return (np.sum(Y * x, axis=-1) + spec.offset) ** spec.degree
     d2 = np.sum(np.square(Y - x), axis=-1)
@@ -104,6 +108,14 @@ def kernel_row(spec: KernelSpec, x, Y) -> np.ndarray:
         raise DimensionMismatch(
             f"expected (d,) and (n, d) arguments, got {x.shape} and {Y.shape}")
     return _rows_core(spec, x, Y)
+
+
+def kernel_diag(spec: KernelSpec, X) -> np.ndarray:
+    """K(x, x) of every row x of X, bit-identical to eval_kernel(spec, x, x)."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise DimensionMismatch(f"expected a 2-d sample matrix, got shape {X.shape}")
+    return _rows_core(spec, X, X)
 
 
 def gram(spec: KernelSpec, X) -> np.ndarray:

@@ -148,7 +148,6 @@ def _load_svdd(body, path) -> _svdd.SvddModel:
     return _svdd.SvddModel(
         X_train=X, alphas=alphas, kernel=kernel, C=C, r2=r2,
         self_term=_svdd._self_term(G, alphas), norm_stats=stats,
-        sv_indices=np.flatnonzero(alphas > cfg_defaults.kkt_tol),
         kkt_tol=cfg_defaults.kkt_tol, boundary_tol=cfg_defaults.boundary_tol,
     )
 

@@ -24,7 +24,8 @@ from .errors import (
     NonConvergence,
     OracleScaleExceeded,
 )
-from .kernels import KernelSpec, eval_kernel, gram, kernel_row
+from .kernels import KernelSpec, gram, kernel_diag, kernel_row
+from .kernels import eval_kernel  # noqa: F401  only for perfbench/spans.py
 
 INSIDE = "inside"
 BOUNDARY = "boundary"
@@ -49,7 +50,6 @@ class SvddModel:
     r2: float
     self_term: float         # sum_ij a_i a_j K_ij, cached for scoring
     norm_stats: NormStats
-    sv_indices: np.ndarray
     kkt_tol: float = 1e-6
     boundary_tol: float = 1e-7
 
@@ -156,30 +156,52 @@ def train(X_target, cfg: SvddTrainConfig, norm_stats: NormStats | None = None) -
         r2=r2,
         self_term=self_term,
         norm_stats=stats,
-        sv_indices=np.flatnonzero(alphas > cfg.kkt_tol),
         kkt_tol=cfg.kkt_tol,
         boundary_tol=cfg.boundary_tol,
     )
 
 
+def _radius2(m: SvddModel, X) -> np.ndarray:
+    """R^2 of every row of a raw-space query block.
+
+    Only vectors with nonzero weight contribute, each added into one
+    accumulator over the whole block, so memory stays O(rows) however many
+    vectors the model has.
+    """
+    X = np.asarray(X, dtype=float)
+    d = m.X_train.shape[1]
+    if X.ndim != 2 or X.shape[1] != d:
+        raise DimensionMismatch(f"expected a 2-d query matrix of {d} features, got shape {X.shape}")
+    Xn = normalize_apply(m.norm_stats, X)
+    acc = np.zeros(Xn.shape[0])
+    live = m.alphas != 0.0
+    for a, sv in zip(m.alphas[live], m.X_train[live]):
+        acc += a * kernel_row(m.kernel, sv, Xn)
+    return kernel_diag(m.kernel, Xn) - 2.0 * acc + m.self_term
+
+
+def _band(m: SvddModel) -> tuple[float, float]:
+    """R^2 limits of the boundary band, r2 -/+ a relative tolerance."""
+    tau = m.boundary_tol * max(1.0, m.r2)
+    return m.r2 - tau, m.r2 + tau
+
+
 def radius2_of(m: SvddModel, x) -> float:
     """Squared kernel-space distance of x from the sphere center."""
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] != m.X_train.shape[1]:
+    if x.ndim != 1:
         raise DimensionMismatch(
             f"expected a vector of {m.X_train.shape[1]} features, got shape {x.shape}")
-    xn = (x - m.norm_stats.mean) / m.norm_stats.std
-    k = kernel_row(m.kernel, xn, m.X_train)
-    return float(eval_kernel(m.kernel, xn, xn) - 2.0 * float(np.dot(m.alphas, k)) + m.self_term)
+    return float(_radius2(m, x[np.newaxis, :])[0])
 
 
 def decide(m: SvddModel, x) -> str:
     """INSIDE / BOUNDARY / OUTSIDE with a relative tolerance band at r2."""
     rho = radius2_of(m, x)
-    tau = m.boundary_tol * max(1.0, m.r2)
-    if rho < m.r2 - tau:
+    lo, hi = _band(m)
+    if rho < lo:
         return INSIDE
-    if rho <= m.r2 + tau:
+    if rho <= hi:
         return BOUNDARY
     return OUTSIDE
 
@@ -190,10 +212,8 @@ def predict(m: SvddModel, X) -> np.ndarray:
     Boundary points join the majority: the sphere is fitted to the minority
     class, so a point that only just reaches the surface is not called scarce.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise DimensionMismatch(f"expected a 2-d query matrix, got shape {X.shape}")
-    return np.array([LOW if decide(m, row) == INSIDE else HIGH for row in X], dtype=int)
+    lo, _ = _band(m)
+    return np.where(_radius2(m, X) < lo, LOW, HIGH)
 
 
 def _project_capped_simplex(v: np.ndarray, C: float) -> np.ndarray:

@@ -4,7 +4,11 @@ The leave-one-well-out benchmark used by several tests lives here so the
 CLI tests and the acceptance suite drive the exact same code path.
 """
 
+import os
+from pathlib import Path
+
 import numpy as np
+import pytest
 
 from welldesc import (
     KernelSpec,
@@ -18,6 +22,19 @@ from welldesc.cli import run_blind_tests
 
 BENCH_KERNEL = KernelSpec(family="gaussian", width=2.0)
 BENCH_COST = 0.25
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+@pytest.fixture(autouse=True)
+def absolute_src_on_pythonpath(monkeypatch):
+    """Put the absolute src directory first on PYTHONPATH.
+
+    The CLI tests start `python -m welldesc` in temporary directories, where a
+    relative entry such as PYTHONPATH=src no longer resolves.
+    """
+    rest = [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join([SRC, *rest]))
 
 
 def benchmark_dataset(seed, n_wells=4, rows=500, skew=0.97, n_features=6, relief_k=4):

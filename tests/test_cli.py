@@ -204,6 +204,17 @@ def test_run_no_external_minority(tmp_path):
     assert r.returncode == 4
 
 
+def test_run_all_features_constant(tmp_path):
+    csv = tmp_path / "flat.csv"
+    rows = [f"{w},{i},1.0,2.0,0.{i + 3}" for w in "AB" for i in range(1, 7)]
+    csv.write_text("well,depth,f1,f2,sw\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    r = cli("run", "--input", "flat.csv", "--cost", "0.25",
+            "--relief-k", "2", cwd=tmp_path)
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: ") and "constant" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_run_deterministic_apart_from_timings(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from welldesc import KernelSpec, eval_kernel, gram, kernel_row
+from welldesc.kernels import kernel_diag
 from welldesc.errors import DimensionMismatch, InvalidConfig, MalformedFile
 
 
@@ -138,6 +139,21 @@ def test_kernel_row_matches_eval():
     row = kernel_row(spec, q, X)
     for i in range(6):
         assert row[i] == eval_kernel(spec, q, X[i])
+
+
+def test_block_row_equals_per_row_values():
+    """A stored vector against a query block gives, bit for bit, the values
+    each query gets against the stored vectors; batched scoring relies on it."""
+    rng = np.random.default_rng(16)
+    V = rng.normal(size=(5, 3))
+    Q = rng.normal(size=(40, 3))
+    for spec in (KernelSpec(width=1.7), KernelSpec(family="erbf", width=0.9),
+                 KernelSpec(family="polynomial", degree=4, offset=0.5)):
+        block = np.array([kernel_row(spec, v, Q) for v in V])
+        per_query = np.array([kernel_row(spec, q, V) for q in Q])
+        assert np.array_equal(block, per_query.T)
+        diag = kernel_diag(spec, Q)
+        assert all(diag[i] == eval_kernel(spec, q, q) for i, q in enumerate(Q))
 
 
 def test_describe_parse_round_trip():
