@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,8 @@ from welldesc import (
     relief_weights,
     select_top,
 )
-from welldesc.errors import ConstantAllFeatures, InvalidK, SingleClassInput
+from welldesc.errors import ConstantAllFeatures, DimensionMismatch, InvalidK, SingleClassInput
+from welldesc.relief import _BLOCK_ENTRIES
 
 
 def test_hand_worked_one_dimensional_case():
@@ -112,3 +115,143 @@ def test_informative_features_outrank_noise_on_synthetic_data():
     # generator layout: first two carry the classes, last two are noise
     names = {fw.feature_names[i] for i in select_top(fw, 2)}
     assert names == {"f1", "f2"}
+
+
+def test_non_matrix_input_rejected():
+    with pytest.raises(DimensionMismatch):
+        relief_weights(np.array([0.0, 0.1, 0.9, 1.0]), np.array([LOW, LOW, HIGH, HIGH]))
+
+
+def test_label_length_mismatch_rejected():
+    X = np.array([[0.0], [0.1], [0.9], [1.0]])
+    with pytest.raises(DimensionMismatch):
+        relief_weights(X, np.array([LOW, LOW, HIGH]))
+    with pytest.raises(DimensionMismatch):
+        relief_weights(X, np.array([LOW, LOW, HIGH, HIGH, HIGH]))
+    with pytest.raises(DimensionMismatch):
+        relief_weights(X, np.array([[LOW], [LOW], [HIGH], [HIGH]]))
+
+
+# -- blockwise search against the plain per-row pass -------------------------
+
+def reference_relief(X, y):
+    """The one-row-at-a-time Relief pass: full n-vector distances and
+    class masks per row, W updated in place row by row."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y)
+    n, d = X.shape
+    vmin = X.min(axis=0)
+    spread = X.max(axis=0) - vmin
+    S = (X - vmin) / np.where(spread > 0, spread, 1.0)
+    W = np.zeros(d)
+    for i in range(n):
+        diffs = np.abs(S - S[i])
+        dist = np.sqrt(np.square(diffs).sum(axis=1))
+        same = y == y[i]
+        hit_dist = np.where(same, dist, np.inf)
+        hit_dist[i] = np.inf
+        miss_dist = np.where(same, np.inf, dist)
+        j_hit = int(np.argmin(hit_dist))
+        j_miss = int(np.argmin(miss_dist))
+        if np.isfinite(hit_dist[j_hit]):
+            W -= diffs[j_hit]
+        W += diffs[j_miss]
+    W /= n
+    return W
+
+
+def _labels(rng, n, frac_high):
+    y = np.where(rng.uniform(size=n) < frac_high, HIGH, LOW)
+    y[:2] = [LOW, HIGH]
+    return y
+
+
+def _case_duplicate_rows():
+    # a small integer grid: exact duplicate rows and equal distances in
+    # different directions, so the lowest row index must win hits and misses
+    rng = np.random.default_rng(0)
+    X = rng.integers(0, 4, size=(90, 2)).astype(float)
+    return X, _labels(rng, 90, 0.4)
+
+
+def _case_single_member_class():
+    rng = np.random.default_rng(42)
+    X = rng.normal(size=(40, 4))
+    y = np.full(40, LOW)
+    y[17] = HIGH
+    return X, y
+
+
+def _case_constant_feature():
+    rng = np.random.default_rng(43)
+    X = rng.normal(size=(50, 4))
+    X[:, 2] = 3.5
+    return X, _labels(rng, 50, 0.3)
+
+
+def _case_ragged_last_block():
+    rng = np.random.default_rng(44)
+    y = np.array([LOW] * 290 + [HIGH] * 10)
+    rng.shuffle(y)
+    n_low = int((y == LOW).sum())
+    # the majority's hit search takes blocks of 32768 // n_low rows, which
+    # must not divide its row count, so the last block is a short one
+    assert n_low % max(1, _BLOCK_ENTRIES // n_low) != 0
+    return rng.normal(size=(300, 6)), y
+
+
+def _case_one_feature():
+    # W's 401 terms form one contiguous column, which a plain sum would add
+    # pairwise instead of in row order
+    rng = np.random.default_rng(45)
+    return rng.normal(size=(200, 1)), _labels(rng, 200, 0.5)
+
+
+def _case_wide(d, seed):
+    # 8 or more features: numpy sums each distance row pairwise, not left to
+    # right. Values in tenths put rows at distances that are equal in exact
+    # arithmetic, so only the summation order decides the neighbor.
+    def build():
+        rng = np.random.default_rng(seed)
+        return rng.integers(0, 11, size=(80, d)) / 10, _labels(rng, 80, 0.3)
+    return build
+
+
+def _case_synthetic_scale_table():
+    table = gen_synthetic(SynthConfig(n_wells=8, rows_per_well=1000, skew=0.95,
+                                      n_features=6, seed=1))
+    data = binarize_target(table, 0.7)
+    return data.X, data.y
+
+
+@pytest.mark.parametrize("build", [
+    _case_duplicate_rows,
+    _case_single_member_class,
+    _case_constant_feature,
+    _case_ragged_last_block,
+    _case_one_feature,
+    _case_wide(9, 3),
+    _case_wide(20, 2),
+    _case_wide(140, 3),
+    _case_synthetic_scale_table,
+], ids=["duplicate-rows", "single-member-class", "constant-feature",
+        "ragged-last-block", "one-feature", "9-features", "20-features",
+        "140-features", "synthetic-8x1000"])
+def test_weights_bit_identical_to_per_row_pass(build):
+    X, y = build()
+    assert np.array_equal(relief_weights(X, y).weights, reference_relief(X, y))
+
+
+def test_temporary_memory_stays_bounded():
+    """A 6000-row n×n distance matrix would take 288 MB; the blockwise search
+    keeps a few n×d copies (about 0.3 MB each) plus 256 KB blocks."""
+    rng = np.random.default_rng(47)
+    X = rng.normal(size=(6000, 6))
+    y = _labels(rng, 6000, 0.05)
+    tracemalloc.start()
+    try:
+        relief_weights(X, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6, f"peak {peak / 1e6:.1f} MB"
