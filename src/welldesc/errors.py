@@ -19,6 +19,10 @@ class NonNumericCell(WelldescError):
         self.text = text
 
 
+class NonFiniteInput(WelldescError, ValueError):
+    """A NaN or infinite value where every value must be finite."""
+
+
 class EmptyResult(WelldescError):
     """An operation removed every row."""
 

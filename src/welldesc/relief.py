@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstantAllFeatures, DimensionMismatch, InvalidK, SingleClassInput
+from .errors import ConstantAllFeatures, DimensionMismatch, InvalidK, NonFiniteInput, SingleClassInput
 
 # Query×candidate entries in one distance block: 256 KB of float64 per
 # temporary, however many rows the input has.
@@ -40,7 +40,7 @@ def relief_weights(X, y, feature_names=None) -> FeatureWeights:
     Nearest hit and miss are found by Euclidean distance on the scaled
     features; ties go to the lowest row index. A constant feature scores
     exactly 0. A row whose class has no second member contributes only its
-    miss term.
+    miss term. A NaN or infinite cell raises NonFiniteInput.
 
     The search runs per class in blocks of ``max(1, 32768 // m)`` query rows
     against m candidates, so each temporary holds about 256 KB. Squared
@@ -52,6 +52,8 @@ def relief_weights(X, y, feature_names=None) -> FeatureWeights:
     y = np.asarray(y)
     if X.ndim != 2 or y.shape != X.shape[:1]:
         raise DimensionMismatch(f"X {X.shape} does not match y {y.shape}")
+    if not np.isfinite(X).all():
+        raise NonFiniteInput("X has NaN or infinite cells; relief needs finite features")
     n, d = X.shape
     classes = np.unique(y)
     if classes.size < 2:

@@ -99,6 +99,22 @@ def test_prepare_missing_input_file(tmp_path):
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("bad_row, message", [
+    ("A,3,oops,2.2,0.6", "line 4, column 'f1': cannot parse 'oops'"),
+    ("A,3,0.4", "line 4 has 3 cells, expected 5"),
+    ("A,2,0.4,2.2,0.6", "well 'A' repeats depth 2.0"),   # names the well, not a line
+    ("A,3,0.4,2.2,1.5", "line 4: target 1.5 outside [0, 1]"),
+], ids=["non-numeric-cell", "short-row", "repeated-depth", "target-out-of-range"])
+def test_prepare_ingest_error_exits_two(tmp_path, bad_row, message):
+    csv = tmp_path / "bad.csv"
+    csv.write_text("well,depth,f1,f2,sw\nA,1,0.5,2.0,0.5\nA,2,0.6,2.1,0.9\n"
+                   + bad_row + "\nA,4,0.7,2.3,0.8\n", encoding="utf-8")
+    r = cli("prepare", "--input", "bad.csv", "--out", ".", cwd=tmp_path)
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: ") and message in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 # ----------------------------------------------------------------- features
 
 def test_features_outputs_sorted_weights(tmp_path):

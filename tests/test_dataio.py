@@ -1,3 +1,7 @@
+import csv
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +12,7 @@ from welldesc import (
     SynthConfig,
     WellTable,
     binarize_target,
+    dataio,
     drop_invalid,
     gen_synthetic,
     histogram,
@@ -25,9 +30,11 @@ from welldesc.errors import (
     InvalidConfig,
     MalformedFile,
     NoMinorityTrainingData,
+    NonFiniteInput,
     NonNumericCell,
     SingleRowWell,
     UnknownWell,
+    WelldescError,
 )
 
 SCHEMA = ["GR", "NPHI", "RHOB", "DT", "SW"]
@@ -148,6 +155,236 @@ def test_write_then_load_round_trip(tmp_path):
     assert np.allclose(back.target, t.target, rtol=1e-5, atol=1e-8)
 
 
+# ------------------------------------------- load_table against a row loop
+
+def _reference_parse_cell(text, line, column):
+    text = text.strip().replace("−", "-")
+    if text == "":
+        return math.nan
+    try:
+        value = float(text)
+    except ValueError:
+        raise NonNumericCell(line, column, text) from None
+    if value == dataio.SENTINEL or math.isnan(value):
+        return math.nan
+    return value
+
+
+def reference_load_table(path, schema):
+    """The one-row-at-a-time loader that load_table must match bit for bit."""
+    if len(schema) < 2:
+        raise MalformedFile("schema needs at least one feature column and a target column")
+    feature_names = list(schema[:-1])
+    target_name = schema[-1]
+
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise MalformedFile(f"{path}: empty file")
+        header = [h.strip() for h in header]
+        for name in ("well", "depth", *schema):
+            if name not in header:
+                raise MalformedFile(f"{path}: missing column {name!r}")
+        col = {name: header.index(name) for name in header}
+
+        well_col, depth_col, feat_rows, target_col = [], [], [], []
+        for line_no, row in enumerate(reader, start=2):
+            if not row or all(cell.strip() == "" for cell in row):
+                continue
+            if len(row) < len(header):
+                raise MalformedFile(f"{path}: line {line_no} has {len(row)} cells, expected {len(header)}")
+            well_col.append(row[col["well"]].strip())
+            depth = _reference_parse_cell(row[col["depth"]], line_no, "depth")
+            if math.isnan(depth):
+                raise NonNumericCell(line_no, "depth", row[col["depth"]])
+            depth_col.append(depth)
+            feat_rows.append([_reference_parse_cell(row[col[f]], line_no, f) for f in feature_names])
+            tv = _reference_parse_cell(row[col[target_name]], line_no, target_name)
+            if not math.isnan(tv) and not 0.0 <= tv <= 1.0:
+                raise MalformedFile(f"{path}: line {line_no}: target {tv} outside [0, 1]")
+            target_col.append(tv)
+
+    wells = list(dict.fromkeys(well_col))
+    order: list = []
+    for w in wells:
+        idx = [i for i, wid in enumerate(well_col) if wid == w]
+        idx.sort(key=lambda i: depth_col[i])
+        for a, b in zip(idx, idx[1:]):
+            if depth_col[a] >= depth_col[b]:
+                raise MalformedFile(f"{path}: well {w!r} repeats depth {depth_col[b]}")
+        order.extend(idx)
+
+    return WellTable(
+        wells=wells,
+        well_ids=np.array([well_col[i] for i in order]),
+        depth=np.array([depth_col[i] for i in order], dtype=float),
+        features=np.array([feat_rows[i] for i in order], dtype=float).reshape(len(order), len(feature_names)),
+        target=np.array([target_col[i] for i in order], dtype=float),
+        feature_names=feature_names,
+        target_name=target_name,
+    )
+
+
+def _outcome(load, path, schema):
+    try:
+        return load(path, schema)
+    except WelldescError as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_outcome(path, schema=SCHEMA):
+    """load_table gives the reference's table bit for bit, or its exact error.
+
+    Returns "table" or the error's type name.
+    """
+    want = _outcome(reference_load_table, path, schema)
+    got = _outcome(load_table, path, schema)
+    if isinstance(want, tuple):
+        assert got == want
+        return want[0].__name__
+    assert isinstance(got, WellTable), got
+    assert got.wells == want.wells
+    assert (got.feature_names, got.target_name) == (want.feature_names, want.target_name)
+    for name in ("well_ids", "depth", "features", "target"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        # stricter than array_equal(equal_nan=True): NaN bits and signed zeros too
+        assert a.tobytes() == b.tobytes(), name
+    return "table"
+
+
+def _synthetic_lines(tmp_path):
+    t = gen_synthetic(SynthConfig(n_wells=8, rows_per_well=1500, skew=0.95,
+                                  n_features=6, seed=11))
+    write_table(t, tmp_path / "synthetic.csv")
+    header, *rows = (tmp_path / "synthetic.csv").read_text(encoding="utf-8").splitlines()
+    return header, rows, t.feature_names + [t.target_name]
+
+
+def test_synthetic_table_matches_reference(tmp_path):
+    header, rows, schema = _synthetic_lines(tmp_path)
+    assert len(rows) % dataio._CHUNK_ROWS != 0     # a part-filled last chunk
+    assert assert_same_outcome(tmp_path / "synthetic.csv", schema) == "table"
+
+
+@pytest.mark.parametrize("arrange", ["interleaved", "shuffled"])
+def test_mixed_well_order_matches_reference(tmp_path, arrange):
+    header, rows, schema = _synthetic_lines(tmp_path)
+    if arrange == "interleaved":
+        rows = [rows[w * 1500 + i] for i in range(1500) for w in range(8)]
+    else:
+        rows = [rows[i] for i in np.random.default_rng(5).permutation(len(rows))]
+    path = write_csv(tmp_path / "mixed.csv", rows, header=header)
+    assert assert_same_outcome(path, schema) == "table"
+
+
+PARITY_CASES = {
+    "blank-and-comma-only-lines": ["W1,100,10,0.2,2.3,80,0.5", "", ",,,,,,", "  ,  ,", "W1,101,11,0.3,2.4,82,0.6"],
+    "extra-trailing-cells": ["W1,100,10,0.2,2.3,80,0.5,extra", "W1,101,11,0.3,2.4,82,0.6,,x,y"],
+    "quoted-cells": ['"W1","100","10",0.2,"2.3",80,"0.5"', '"W 2",101,"1e1",0.3,2.4,82,0.6'],
+    "spaced-well-ids": [" W1,101,10,0.2,2.3,80,0.5", "W1 ,100,11,0.3,2.4,82,0.6", "W2,100,1,2,3,4,0"],
+    "unicode-minus": ["W1,100,−5.5,0.2,2.3,80,0.5", "W1,−101,11,−0.3,2.4,82,−0"],
+    "sentinel": ["W1,100,-999.25,0.2,2.3,80,-999.25", "W1,101,−999.25,0.3,2.4,-999.250,0.6"],
+    "nan-inf-text": ["W1,100,nan,NaN,inf,-inf,nan", "W1,inf,-Infinity,+inf,-nan,1e400,1", "W1,-inf,1,2,3,4,0"],
+    "spaces-and-signs": ["W1, 100 ,\t10 ,+0.2,-0,  ,0.5", "W1,1_01,.5,5.,1E2,-0.0,1."],
+    "header-only": [],
+    "header-and-blank-lines": ["", ",,,,,,"],
+    "short-row": ["W1,100,10,0.2,2.3,80,0.5", "W1,101,11,0.3"],
+    "bad-depth": ["W1,100,10,0.2,2.3,80,0.5", "W1,1o1,11,0.3,2.4,82,0.6"],
+    "missing-depth": ["W1,-999.25,10,0.2,2.3,80,0.5"],
+    "bad-feature": ["W1,100,10,0.2,2.3,80,0.5", "W1,101,11,0.3,2.4,\"8,2\",0.6"],
+    "bad-target": ["W1,100,10,0.2,2.3,80,0.5", "W1,101,11,0.3,2.4,82,high"],
+    "target-out-of-range": ["W1,100,10,0.2,2.3,80,1e400"],
+    "repeated-depth": ["W2,5,1,2,3,4,0", "W1,100,10,0.2,2.3,80,0.5", "W2,5,1,2,3,4,0", " W1,100.0,1,2,3,4,0"],
+    "repeated-signed-zero-depth": ["W1,-0,1,2,3,4,0", "W1,0,1,2,3,4,0"],
+    "faults-on-two-lines": ["W1,100,10,0.2,2.3,80,7", "W1,101,x,0.3,2.4,82,0.6"],
+    "faults-in-one-row": ["W1,,x,0.3,2.4,82,7"],
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 1024])
+@pytest.mark.parametrize("case", sorted(PARITY_CASES))
+def test_parity_case_matches_reference(tmp_path, monkeypatch, case, chunk):
+    monkeypatch.setattr(dataio, "_CHUNK_ROWS", chunk)
+    assert_same_outcome(write_csv(tmp_path / "case.csv", PARITY_CASES[case]))
+
+
+_WELLS = ["A", "B", " W1", "W1", "W1 "]
+_CELLS = ["1.5", "-2", "0", "-0", "3e2", " 4.25 ", "-999.25", "−7.5", "", "  ",
+          "nan", "-nan", "inf", "-inf", "1_0", '"8.5"', "+.5", "\u20035\u2003"]
+_TARGETS = ["0", "1", "0.25", "-0", "", "nan", "-999.25", "1.0", " 0.5", "−0", "1e-3"]
+_BAD_CELLS = ["oops", "1.2.3", "--1", '"1,5"', "1e", "−", "0x10", "inf inf", "1 5"]
+_BAD_DEPTHS = ["", "  ", "-999.25", "−999.25", "nan", *_BAD_CELLS]
+_BAD_TARGETS = ["1.5", "-0.1", "inf", "-inf", "2", "−0.5", "1e400", *_BAD_CELLS]
+_HEADERS = ["well,depth,GR,NPHI,RHOB,DT,SW", "depth,GR,well,x,NPHI,RHOB,DT,SW,y",
+            "SW,DT,RHOB,NPHI,GR,depth,well"]
+
+
+def _random_csv(rng):
+    """A small well CSV, sometimes clean, with up to four faults on random lines."""
+    header = rng.choice(_HEADERS).split(",")
+    n = int(rng.integers(0, 25))
+    depths = [repr(100 + 0.5 * float(k)) for k in rng.permutation(n)]  # only a planted repeat repeats
+    rows = []
+    for i in range(n):
+        cells = {"well": rng.choice(_WELLS), "depth": depths[i], "SW": rng.choice(_TARGETS)}
+        row = [cells.get(h, rng.choice(_CELLS)) for h in header]
+        rows.append(row + list(rng.choice(_CELLS, size=rng.integers(0, 2))))
+    for _ in range(int(rng.integers(0, 5)) if n else 0):
+        row = rows[rng.integers(n)]
+        fault = rng.integers(6)
+        if fault == 0:
+            del row[rng.integers(len(header)):]
+            continue
+        column, value = [
+            ("depth", rng.choice(_BAD_DEPTHS)),
+            (rng.choice(SCHEMA[:-1]), rng.choice(_BAD_CELLS)),
+            ("SW", rng.choice(_BAD_TARGETS)),
+            ("depth", rng.choice(depths)),
+            ("well", rng.choice(_WELLS)),
+        ][fault - 1]
+        if header.index(column) < len(row):
+            row[header.index(column)] = value
+    lines = [",".join(row) for row in rows]
+    for _ in range(int(rng.integers(0, 3))):
+        lines.insert(int(rng.integers(len(lines) + 1)), rng.choice(["", ",,,", "  "]))
+    return ",".join(header) + "\n" + "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 1024])
+def test_random_faulty_files_match_reference(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(dataio, "_CHUNK_ROWS", chunk)
+    rng = np.random.default_rng(2016)
+    seen = {}
+    for k in range(400):
+        path = tmp_path / f"r{k}.csv"
+        path.write_text(_random_csv(rng), encoding="utf-8")
+        kind = assert_same_outcome(path)
+        seen[kind] = seen.get(kind, 0) + 1
+    # the corpus exercises clean tables and both error types
+    assert min(seen.get(k, 0) for k in ("table", "NonNumericCell", "MalformedFile")) >= 40, seen
+
+
+def test_load_peak_memory_stays_bounded(tmp_path):
+    """32,000 rows of depth, six features and a target make a 2.2 MB table.
+
+    Loading it peaks at about 5 MB; the row loop, which keeps every cell as a
+    Python float until the end, peaks at about 15.5 MB.
+    """
+    t = gen_synthetic(SynthConfig(n_wells=8, rows_per_well=4000, skew=0.95,
+                                  n_features=6, seed=1))
+    path = tmp_path / "big.csv"
+    write_table(t, path)
+    tracemalloc.start()
+    try:
+        load_table(path, t.feature_names + [t.target_name])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
+
+
 # -------------------------------------------------------------- drop_invalid
 
 def test_drop_invalid_removes_incomplete_rows(tmp_path):
@@ -243,6 +480,13 @@ def test_binarize_threshold_rule():
     assert d.y[0] == HIGH     # exactly at the threshold
     assert d.y[1] == LOW
     assert d.y[2] == LOW
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_binarize_rejects_non_finite_cell(bad):
+    t = _one_well_table([0.0, 1.0, 2.0], [1.0, bad, 3.0], [0.2, 0.8, 0.9])
+    with pytest.raises(NonFiniteInput):
+        binarize_target(t, 0.7)
 
 
 def test_binarize_threshold_must_be_interior():

@@ -12,7 +12,13 @@ from welldesc import (
     relief_weights,
     select_top,
 )
-from welldesc.errors import ConstantAllFeatures, DimensionMismatch, InvalidK, SingleClassInput
+from welldesc.errors import (
+    ConstantAllFeatures,
+    DimensionMismatch,
+    InvalidK,
+    NonFiniteInput,
+    SingleClassInput,
+)
 from welldesc.relief import _BLOCK_ENTRIES
 
 
@@ -255,3 +261,11 @@ def test_temporary_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 6e6, f"peak {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_cell_rejected(bad):
+    X = np.array([[0.0, 1.0], [0.1, 0.9], [0.9, bad], [1.0, 0.0]])
+    y = np.array([LOW, LOW, HIGH, HIGH])
+    with pytest.raises(NonFiniteInput):
+        relief_weights(X, y)
