@@ -13,10 +13,10 @@ from .dataio import HIGH, LOW, NormStats, normalize_apply
 from .errors import (
     DimensionMismatch,
     InvalidConfig,
-    NonConvergence,
     SingleClassInput,
     SingularCovariance,
 )
+from . import smo
 from .kernels import KernelSpec, gram, kernel_row
 
 _CLASSES = (LOW, HIGH)
@@ -130,11 +130,11 @@ class SvmModel:
 def train_csvm(X, y, kernel: KernelSpec | None = None, C_svm: float = 1.0,
                tol: float = 1e-6, max_iter: int | None = None,
                norm_stats: NormStats | None = None) -> SvmModel:
-    """Soft-margin kernel SVM via pairwise ascent on the dual.
+    """Soft-margin kernel SVM, its dual solved by the shared pairwise solver.
 
-    LOW maps to +1, HIGH to -1. Working pairs come from the most violating
-    gradient pair; the update is the usual two-variable solution clipped to
-    the box, which preserves sum(beta * y).
+    LOW maps to +1, HIGH to -1. Each working pair is the most violating index
+    and the partner with the largest second-order gain (`welldesc.smo`); the
+    two-variable step keeps sum(beta * y) = 0 and stays in the box [0, C].
     """
     X, y = _check_two_class(X, y)
     if kernel is None:
@@ -145,60 +145,16 @@ def train_csvm(X, y, kernel: KernelSpec | None = None, C_svm: float = 1.0,
     Xn = normalize_apply(stats, X)
     n = Xn.shape[0]
     yy = np.where(y == LOW, 1.0, -1.0)
-    Q = (yy[:, np.newaxis] * yy[np.newaxis, :]) * gram(kernel, Xn)
     C = float(C_svm)
-
-    beta = np.zeros(n)
-    grad = -np.ones(n)  # gradient of 0.5 b'Qb - sum(b)
     if max_iter is None:
         max_iter = 10 * n * n
+    beta, v, up, low = smo.solve(gram(kernel, Xn), yy, -np.ones(n), C, np.zeros(n), tol, max_iter)
 
-    gap = np.inf
-    for it in range(max_iter):
-        vals = -yy * grad
-        up_ok = ((yy > 0) & (beta < C)) | ((yy < 0) & (beta > 0))
-        low_ok = ((yy > 0) & (beta > 0)) | ((yy < 0) & (beta < C))
-        i = int(np.argmax(np.where(up_ok, vals, -np.inf)))
-        j = int(np.argmin(np.where(low_ok, vals, np.inf)))
-        gap = vals[i] - vals[j]
-        if gap <= tol:
-            break
-
-        if yy[i] != yy[j]:
-            quad = max(Q[i, i] + Q[j, j] + 2.0 * Q[i, j], 1e-12)
-            delta = (-grad[i] - grad[j]) / quad
-            lo = max(-beta[i], -beta[j])
-            hi = min(C - beta[i], C - beta[j])
-            delta = min(max(delta, lo), hi)
-            bi, bj = beta[i] + delta, beta[j] + delta
-        else:
-            quad = max(Q[i, i] + Q[j, j] - 2.0 * Q[i, j], 1e-12)
-            delta = (grad[i] - grad[j]) / quad
-            lo = max(beta[i] - C, -beta[j])
-            hi = min(beta[i], C - beta[j])
-            delta = min(max(delta, lo), hi)
-            bi, bj = beta[i] - delta, beta[j] + delta
-        bi = min(max(bi, 0.0), C)
-        bj = min(max(bj, 0.0), C)
-        grad += Q[:, i] * (bi - beta[i]) + Q[:, j] * (bj - beta[j])
-        beta[i], beta[j] = bi, bj
-        if (it + 1) % 1024 == 0:
-            grad = Q @ beta - 1.0
-    else:
-        raise NonConvergence(
-            f"svm solver still violating KKT by {gap:.3e} after {max_iter} passes",
-            kkt_violation=float(gap))
-
-    vals = -yy * grad
     unbounded = (beta > tol) & (beta < C - tol)
     if unbounded.any():
-        bias = float(vals[unbounded].mean())
+        bias = float(v[unbounded].mean())
     else:
-        up_ok = ((yy > 0) & (beta < C)) | ((yy < 0) & (beta > 0))
-        low_ok = ((yy > 0) & (beta > 0)) | ((yy < 0) & (beta < C))
-        hi = float(np.max(np.where(up_ok, vals, -np.inf)))
-        lo = float(np.min(np.where(low_ok, vals, np.inf)))
-        bias = 0.5 * (hi + lo)
+        bias = 0.5 * (float(np.max(v[up])) + float(np.min(v[low])))
 
     keep = beta > 0.0
     return SvmModel(kernel=kernel, C_svm=C, betas=beta[keep], labels=yy[keep],

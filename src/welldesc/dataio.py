@@ -305,6 +305,8 @@ def resample_uniform(t: WellTable, spacing: float | None = AUTO) -> WellTable:
         if idx.size < 2:
             raise SingleRowWell(f"well {w!r} has {idx.size} row(s); need at least 2 to interpolate")
         depths = t.depth[idx]
+        if not np.isfinite(depths).all():
+            raise NonFiniteInput(f"well {w!r} has a non-finite depth")
         step = float(np.median(np.diff(depths))) if spacing is AUTO else float(spacing)
         count = int(math.floor((depths[-1] - depths[0]) / step + 1e-9)) + 1
         grid = depths[0] + step * np.arange(count)

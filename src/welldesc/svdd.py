@@ -10,6 +10,10 @@ pushed outside. The squared boundary radius r2 is the largest R^2 among the
 on-sphere points, and a query x scores
 
     R^2(x) = K(x, x) - 2 sum_i a_i K(x_i, x) + sum_ij a_i a_j K(x_i, x_j).
+
+train solves the dual with the pairwise solver the SVM baseline also uses
+(`welldesc.smo`), as the minimum of 1/2 a'(2K)a - diag(K)'a with every
+y_i = 1. solve_dual_bruteforce is an independent reference for tests.
 """
 
 from dataclasses import dataclass
@@ -21,9 +25,9 @@ from .errors import (
     DimensionMismatch,
     EmptyTrainingSet,
     InfeasibleCost,
-    NonConvergence,
     OracleScaleExceeded,
 )
+from . import smo
 from .kernels import KernelSpec, gram, kernel_diag, kernel_row
 from .kernels import eval_kernel  # noqa: F401  only for perfbench/spans.py
 
@@ -58,63 +62,6 @@ def _self_term(G: np.ndarray, alphas: np.ndarray) -> float:
     return float(alphas @ (G @ alphas))
 
 
-def _solve_pairwise(G: np.ndarray, C: float, tol: float, max_passes: int):
-    """Pairwise coordinate ascent preserving sum(a) = 1.
-
-    Each pass takes the worst uphill coordinate i, pairs it with the donor j
-    promising the largest guaranteed objective gain (gap squared over
-    curvature; first-order donor choice zigzags badly on near-singular grams),
-    moves mass between the two with the analytically optimal step, and clips
-    to the box. Ties pick the lowest index. Deterministic for a fixed input.
-    """
-    n = G.shape[0]
-    alpha = np.full(n, 1.0 / n)
-    if n == 1:
-        return alpha, 0.0
-    diag = G.diagonal().copy()
-    grad = diag - 2.0 * (G @ alpha)
-
-    viol = np.inf
-    for it in range(max_passes):
-        up = np.where(alpha < C, grad, -np.inf)    # can receive mass
-        dn = np.where(alpha > 0.0, grad, np.inf)   # can give mass
-        i = int(np.argmax(up))
-        viol = grad[i] - grad[int(np.argmin(dn))]
-        if viol <= tol:
-            return alpha, float(viol)
-
-        gap = grad[i] - grad
-        curv = np.maximum(diag[i] + diag - 2.0 * G[:, i], 1e-12)
-        gain = np.where((alpha > 0.0) & (gap > 0.0), gap * gap / curv, -np.inf)
-        j = int(np.argmax(gain))
-
-        pair_gap = grad[i] - grad[j]
-        room = min(C - alpha[i], alpha[j])
-        denom = diag[i] + diag[j] - 2.0 * G[i, j]
-        delta = room if denom <= 0.0 else min(room, pair_gap / (2.0 * denom))
-        if delta <= 0.0:
-            return alpha, float(viol)  # box leaves no feasible motion
-        if delta >= room:
-            # land exactly on whichever bound binds
-            if C - alpha[i] <= alpha[j]:
-                alpha[j] -= C - alpha[i]
-                alpha[i] = C
-            else:
-                alpha[i] += alpha[j]
-                alpha[j] = 0.0
-            delta = room
-        else:
-            alpha[i] += delta
-            alpha[j] -= delta
-        grad -= (2.0 * delta) * (G[:, i] - G[:, j])
-        if (it + 1) % 1024 == 0:
-            grad = diag - 2.0 * (G @ alpha)  # shed incremental rounding
-
-    raise NonConvergence(
-        f"pairwise solver still violating KKT by {viol:.3e} after {max_passes} passes",
-        kkt_violation=float(viol))
-
-
 def train(X_target, cfg: SvddTrainConfig, norm_stats: NormStats | None = None) -> SvddModel:
     """Fit the hypersphere to one class of training vectors.
 
@@ -135,7 +82,12 @@ def train(X_target, cfg: SvddTrainConfig, norm_stats: NormStats | None = None) -
     Xn = normalize_apply(stats, X)
     G = gram(cfg.kernel, Xn)
     max_passes = cfg.max_passes if cfg.max_passes is not None else 10 * n * n
-    alphas, _ = _solve_pairwise(G, C, cfg.kkt_tol, max_passes)
+    # -L(a) = 1/2 a'(2G)a - diag(G)'a; scaling by 2 in place is exact and
+    # spares a second n x n matrix
+    p = -G.diagonal()
+    G *= 2.0
+    alphas = smo.solve(G, np.ones(n), p, C, np.full(n, 1.0 / n), cfg.kkt_tol, max_passes)[0]
+    G *= 0.5
 
     Ka = G @ alphas
     self_term = float(alphas @ Ka)

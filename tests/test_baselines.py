@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -291,8 +292,8 @@ def _best_dual_value(K, y, C, iters=100000):
     return best
 
 
-def test_svm_solver_matches_projected_gradient_reference():
-    worst = 0.0
+def _svm_reference_cases():
+    """(X, labels, kernel, C, reference iterations) of each checked problem."""
     for seed in range(10):
         rng = np.random.default_rng(900 + seed)
         n, d = 10, int(rng.integers(1, 4))
@@ -300,16 +301,51 @@ def test_svm_solver_matches_projected_gradient_reference():
         y01 = np.zeros(n, dtype=int)
         y01[rng.choice(n, size=n // 2, replace=False)] = 1
         spec = KernelSpec(width=float(rng.uniform(0.5, 3.0)))
-        C = float(rng.uniform(0.5, 10.0))
+        yield X, y01, spec, float(rng.uniform(0.5, 10.0)), 100000
+    # 7 points on a line under a wide kernel: the Gram's smallest eigenvalue
+    # is 2.5e-13, and a most-violating-pair rule still violates the KKT
+    # conditions by 4.5e-5 after the default 10 n^2 passes. Projected
+    # gradient creeps along the flat directions too: 2000 iterations take a
+    # few seconds and end within 2.5e-6 of the solver's dual value, while
+    # the default cap of 100000 would allow minutes.
+    rng = np.random.default_rng(1005)
+    n, d = int(rng.integers(6, 9)), int(rng.integers(1, 5))
+    X = rng.normal(size=(n, d))
+    spec = KernelSpec(width=float(rng.uniform(0.5, 4.0)))
+    C = float(rng.uniform(0.1, 10.0))
+    yield X, np.where(rng.uniform(size=n) < 0.4, LOW, HIGH), spec, C, 2000
 
+
+def test_svm_solver_matches_projected_gradient_reference():
+    worst = 0.0
+    for X, y01, spec, C, ref_iters in _svm_reference_cases():
         m = train_csvm(X, y01, spec, C)
         ysv = m.labels
         Ksv = gram(spec, m.X_sv)
         got = float(m.betas.sum()
                     - 0.5 * m.betas @ ((ysv[:, None] * ysv[None, :]) * Ksv) @ m.betas)
-        ref = _best_dual_value(gram(spec, X), np.where(y01 == LOW, 1.0, -1.0), C)
+        ref = _best_dual_value(gram(spec, X), np.where(y01 == LOW, 1.0, -1.0), C, ref_iters)
         worst = max(worst, abs(got - ref))
     assert worst <= 1e-5
+
+
+def test_svm_training_holds_one_gram_matrix():
+    """1500 rows make an 18 MB Gram matrix; training peaks at about that.
+
+    Forming Q = (y y') * K beside the Gram takes two or three such matrices.
+    """
+    rng = np.random.default_rng(51)
+    n = 1500
+    X = rng.normal(size=(n, 3))
+    y = np.where(rng.uniform(size=n) < 0.1, LOW, HIGH)
+    X[y == LOW] += 1.5
+    tracemalloc.start()
+    try:
+        train_csvm(X, y, WIDE, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * n * n * 8, f"peak {peak / 1e6:.1f} MB"
 
 
 # ----------------------------------------------------------- normalization

@@ -104,7 +104,9 @@ def test_prepare_missing_input_file(tmp_path):
     ("A,3,0.4", "line 4 has 3 cells, expected 5"),
     ("A,2,0.4,2.2,0.6", "well 'A' repeats depth 2.0"),   # names the well, not a line
     ("A,3,0.4,2.2,1.5", "line 4: target 1.5 outside [0, 1]"),
-], ids=["non-numeric-cell", "short-row", "repeated-depth", "target-out-of-range"])
+    ("A,inf,0.4,2.2,0.6", "well 'A' has a non-finite depth"),
+], ids=["non-numeric-cell", "short-row", "repeated-depth", "target-out-of-range",
+        "infinite-depth"])
 def test_prepare_ingest_error_exits_two(tmp_path, bad_row, message):
     csv = tmp_path / "bad.csv"
     csv.write_text("well,depth,f1,f2,sw\nA,1,0.5,2.0,0.5\nA,2,0.6,2.1,0.9\n"

@@ -472,6 +472,13 @@ def test_resample_rejects_bad_spacing():
         resample_uniform(t, 0.0)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+def test_resample_rejects_non_finite_depth(bad):
+    t = _one_well_table([0.0, 1.0, bad], [1.0, 2.0, 3.0], [0.2, 0.8, 0.9])
+    with pytest.raises(NonFiniteInput, match="well 'W1' has a non-finite depth"):
+        resample_uniform(t)
+
+
 # ------------------------------------------------------------ binarize_target
 
 def test_binarize_threshold_rule():

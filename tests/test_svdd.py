@@ -203,6 +203,109 @@ def test_nonconvergence_reports_violation():
     assert err.value.kkt_violation > 0.0
 
 
+# -------------------------------------------- the solver before welldesc.smo
+
+def _solve_pairwise(G: np.ndarray, C: float, tol: float, max_passes: int):
+    """Pairwise coordinate ascent preserving sum(a) = 1.
+
+    Each pass takes the worst uphill coordinate i, pairs it with the donor j
+    promising the largest guaranteed objective gain (gap squared over
+    curvature; first-order donor choice zigzags badly on near-singular grams),
+    moves mass between the two with the analytically optimal step, and clips
+    to the box. Ties pick the lowest index. Deterministic for a fixed input.
+    """
+    n = G.shape[0]
+    alpha = np.full(n, 1.0 / n)
+    if n == 1:
+        return alpha, 0.0
+    diag = G.diagonal().copy()
+    grad = diag - 2.0 * (G @ alpha)
+
+    viol = np.inf
+    for it in range(max_passes):
+        up = np.where(alpha < C, grad, -np.inf)    # can receive mass
+        dn = np.where(alpha > 0.0, grad, np.inf)   # can give mass
+        i = int(np.argmax(up))
+        viol = grad[i] - grad[int(np.argmin(dn))]
+        if viol <= tol:
+            return alpha, float(viol)
+
+        gap = grad[i] - grad
+        curv = np.maximum(diag[i] + diag - 2.0 * G[:, i], 1e-12)
+        gain = np.where((alpha > 0.0) & (gap > 0.0), gap * gap / curv, -np.inf)
+        j = int(np.argmax(gain))
+
+        pair_gap = grad[i] - grad[j]
+        room = min(C - alpha[i], alpha[j])
+        denom = diag[i] + diag[j] - 2.0 * G[i, j]
+        delta = room if denom <= 0.0 else min(room, pair_gap / (2.0 * denom))
+        if delta <= 0.0:
+            return alpha, float(viol)  # box leaves no feasible motion
+        if delta >= room:
+            # land exactly on whichever bound binds
+            if C - alpha[i] <= alpha[j]:
+                alpha[j] -= C - alpha[i]
+                alpha[i] = C
+            else:
+                alpha[i] += alpha[j]
+                alpha[j] = 0.0
+            delta = room
+        else:
+            alpha[i] += delta
+            alpha[j] -= delta
+        grad -= (2.0 * delta) * (G[:, i] - G[:, j])
+        if (it + 1) % 1024 == 0:
+            grad = diag - 2.0 * (G @ alpha)  # shed incremental rounding
+
+    raise NonConvergence(
+        f"pairwise solver still violating KKT by {viol:.3e} after {max_passes} passes",
+        kkt_violation=float(viol))
+
+
+def _reference_fit(X, C, spec, tol=1e-6):
+    """alphas, r2 and self_term as train computed them with _solve_pairwise."""
+    G = gram(spec, X)
+    n = X.shape[0]
+    alphas, _ = _solve_pairwise(G, C, tol, 10 * n * n)
+    Ka = G @ alphas
+    self_term = float(alphas @ Ka)
+    r2_each = G.diagonal() - 2.0 * Ka + self_term
+    unbounded = (alphas > tol) & (alphas < C - tol)
+    if unbounded.any():
+        r2 = float(r2_each[unbounded].max())
+    else:
+        positive = alphas > tol
+        r2 = float(r2_each[positive].max()) if positive.any() else 0.0
+    return alphas, max(r2, 0.0), self_term
+
+
+def test_training_is_bit_identical_to_the_pre_smo_solver():
+    rng = np.random.default_rng(11)
+    families = (KernelSpec(width=1.5), KernelSpec("erbf", width=2.0),
+                KernelSpec("polynomial", degree=3, offset=1.0))
+    checked = 0
+    for n in (1, 2, 3, 5, 8, 13, 21, 34, 60, 100, 150):
+        for spec in families:
+            X = rng.normal(0.0, 1.0, size=(n, int(rng.integers(1, 6))))
+            if n >= 4:  # duplicate rows give zero-curvature pairs
+                X[rng.integers(0, n, n // 4)] = X[rng.integers(0, n, n // 4)]
+            if spec.family == "polynomial":
+                X /= 3.0
+            for C in (1.0 / n, float(rng.uniform(1.0 / n, 1.0)), 1.0):
+                want_a, want_r2, want_self = _reference_fit(X, C, spec)
+                m = train(X, SvddTrainConfig(kernel=spec, C=C))
+                assert m.alphas.tobytes() == want_a.tobytes(), (n, spec, C)
+                assert m.r2 == want_r2 and m.self_term == want_self, (n, spec, C)
+                checked += 1
+    assert checked == 99
+    # about 1900 passes, past the gradient refresh every 1024
+    X = rng.normal(size=(1200, 3))
+    want_a, want_r2, want_self = _reference_fit(X, 0.01, families[0])
+    m = train(X, SvddTrainConfig(kernel=families[0], C=0.01))
+    assert m.alphas.tobytes() == want_a.tobytes()
+    assert m.r2 == want_r2 and m.self_term == want_self
+
+
 # ------------------------------------------------------------------ oracle
 
 def test_oracle_two_point_closed_form():
