@@ -5,6 +5,7 @@ hypersphere which sees only the minority class. Ties in every decision rule
 go to HIGH, the majority class.
 """
 
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,11 +18,14 @@ from .errors import (
     SingularCovariance,
 )
 from . import smo
-from .kernels import KernelSpec, gram, kernel_row
+from .kernels import KernelSpec, kernel_diag, kernel_row
+from .kernels import gram  # noqa: F401  only for perfbench/spans.py
 
 _CLASSES = (LOW, HIGH)
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _VAR_FLOOR = 1e-9
+# Bytes of kernel columns the SVM solver keeps, LIBSVM's default cache size.
+_CACHE_BYTES = 100 << 20
 
 
 def _check_two_class(X, y):
@@ -127,6 +131,40 @@ class SvmModel:
     norm_stats: NormStats
 
 
+class _KernelColumns:
+    """Column source of the Gram of Xn for `smo.solve`, never formed whole.
+
+    A column is kernel_row(kernel, Xn[i], Xn), which equals the Gram column
+    bit for bit. It is computed the first time the solver asks for it and
+    kept; past _CACHE_BYTES the least recently used column is dropped and
+    computed again if it is asked for again (the kernel cache of SVMlight
+    and LIBSVM). dot(z) adds the columns of the nonzero z_i in index order.
+    """
+
+    def __init__(self, kernel: KernelSpec, Xn: np.ndarray):
+        self.kernel = kernel
+        self.Xn = Xn
+        self.diag = kernel_diag(kernel, Xn)
+        self.room = max(1, _CACHE_BYTES // (8 * Xn.shape[0]))
+        self.cache = OrderedDict()
+
+    def col(self, i: int) -> np.ndarray:
+        column = self.cache.get(i)
+        if column is not None:
+            self.cache.move_to_end(i)
+            return column
+        if len(self.cache) >= self.room:
+            self.cache.popitem(last=False)
+        column = self.cache[i] = kernel_row(self.kernel, self.Xn[i], self.Xn)
+        return column
+
+    def dot(self, z: np.ndarray) -> np.ndarray:
+        out = np.zeros(self.Xn.shape[0])
+        for i in np.flatnonzero(z):
+            out += z[i] * self.col(int(i))
+        return out
+
+
 def train_csvm(X, y, kernel: KernelSpec | None = None, C_svm: float = 1.0,
                tol: float = 1e-6, max_iter: int | None = None,
                norm_stats: NormStats | None = None) -> SvmModel:
@@ -135,6 +173,11 @@ def train_csvm(X, y, kernel: KernelSpec | None = None, C_svm: float = 1.0,
     LOW maps to +1, HIGH to -1. Each working pair is the most violating index
     and the partner with the largest second-order gain (`welldesc.smo`); the
     two-variable step keeps sum(beta * y) = 0 and stays in the box [0, C].
+    The Gram is never built: the solver reads kernel columns from a cache
+    that computes each on first use and holds at most _CACHE_BYTES (100 MB)
+    of them, so training needs that budget plus O(n) vectors. Up to the
+    solver's first full refresh (pass 1024) the result is bit-identical to a
+    dense Gram's; after it only the summation order of the refresh differs.
     """
     X, y = _check_two_class(X, y)
     if kernel is None:
@@ -148,7 +191,8 @@ def train_csvm(X, y, kernel: KernelSpec | None = None, C_svm: float = 1.0,
     C = float(C_svm)
     if max_iter is None:
         max_iter = 10 * n * n
-    beta, v, up, low = smo.solve(gram(kernel, Xn), yy, -np.ones(n), C, np.zeros(n), tol, max_iter)
+    beta, v, up, low = smo.solve(_KernelColumns(kernel, Xn), yy, -np.ones(n), C, np.zeros(n),
+                                 tol, max_iter)
 
     unbounded = (beta > tol) & (beta < C - tol)
     if unbounded.any():

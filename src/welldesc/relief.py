@@ -31,7 +31,6 @@ _BLOCK_ENTRIES = 32768
 class FeatureWeights:
     weights: np.ndarray
     feature_names: list
-    m_used: int  # instances visited (the full pass uses all n)
 
 
 def relief_weights(X, y, feature_names=None) -> FeatureWeights:
@@ -88,7 +87,7 @@ def relief_weights(X, y, feature_names=None) -> FeatureWeights:
 
     if feature_names is None:
         feature_names = [f"f{j + 1}" for j in range(d)]
-    return FeatureWeights(weights=W, feature_names=list(feature_names), m_used=n)
+    return FeatureWeights(weights=W, feature_names=list(feature_names))
 
 
 def _nearest(Q, CT, skip_self=False):

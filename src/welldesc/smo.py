@@ -9,6 +9,12 @@ Both duals are instances of
 are [0, C] where y_i = 1 and [-C, 0] where y_i = -1, and in v = -y * grad f,
 so Q is never formed: moving z_i up by t and z_j down by t keeps y'a fixed
 and changes v by -t (K[:, i] - K[:, j]).
+
+K itself is never formed by the solver either. It reads K through a column
+source with three parts: `diag`, the diagonal as an array; `col(i)`, column
+i; and `dot(z)`, the product K @ z, taken at the start and every 1024 passes.
+A source may compute columns on demand and forget them again (the SVM's
+kernel cache in `welldesc.baselines`), or hold K whole (`Dense`).
 """
 
 import numpy as np
@@ -16,22 +22,41 @@ import numpy as np
 from .errors import NonConvergence
 
 
-def solve(K, y, p, C: float, a, tol: float, max_passes: int):
+class Dense:
+    """Column source over a symmetric matrix held whole.
+
+    col(i) returns row i, which is contiguous and, K being symmetric, equal
+    to column i.
+    """
+
+    def __init__(self, K: np.ndarray):
+        self.K = K
+        self.diag = K.diagonal().copy()
+
+    def col(self, i: int) -> np.ndarray:
+        return self.K[i]
+
+    def dot(self, z: np.ndarray) -> np.ndarray:
+        return self.K @ z
+
+
+def solve(cols, y, p, C: float, a, tol: float, max_passes: int):
     """Minimize f from the feasible start a; return (a, v, up, low).
 
-    up and low mask the indices whose z_i can still rise and fall. Each pass
-    takes the most violating i in up and pairs it with the j in low promising
-    the largest guaranteed gain (gap squared over curvature; a first-order
-    pick zigzags on near-singular Grams), takes the optimal step along the
-    pair, and lands exactly on a bound it reaches. Ties pick the lowest
-    index, so the result is deterministic. Stops when
-    max(v over up) - min(v over low) <= tol.
+    cols is the column source of K (see the module docstring). up and low
+    mask the indices whose z_i can still rise and fall. Each pass takes the
+    most violating i in up and pairs it with the j in low promising the
+    largest guaranteed gain (gap squared over curvature; a first-order pick
+    zigzags on near-singular Grams), takes the optimal step along the pair,
+    and lands exactly on a bound it reaches. A pass reads columns i and j
+    only. Ties pick the lowest index, so the result is deterministic. Stops
+    when max(v over up) - min(v over low) <= tol.
     """
     hi = np.where(y > 0, C, 0.0)
     lo = hi - C
     z = y * a
-    kd = K.diagonal().copy()
-    v = -y * p - K @ z
+    kd = cols.diag
+    v = -y * p - cols.dot(z)
     viol = np.inf
     for it in range(max_passes):
         up, low = z < hi, z > lo
@@ -41,12 +66,13 @@ def solve(K, y, p, C: float, a, tol: float, max_passes: int):
             return y * z, v, up, low
 
         gap = v[i] - v
-        curv = np.maximum(kd[i] + kd - 2.0 * K[:, i], 1e-12)
+        Ki = cols.col(i)
+        curv = np.maximum(kd[i] + kd - 2.0 * Ki, 1e-12)
         j = int(np.argmax(np.where(low & (gap > 0.0), gap * gap / curv, -np.inf)))
 
         room_i, room_j = hi[i] - z[i], z[j] - lo[j]
         room = min(room_i, room_j)
-        quad = kd[i] + kd[j] - 2.0 * K[i, j]
+        quad = kd[i] + kd[j] - 2.0 * Ki[j]
         delta = room if quad <= 0.0 else min(room, gap[j] / quad)
         if delta <= 0.0:
             return y * z, v, up, low  # box leaves no feasible motion
@@ -62,9 +88,9 @@ def solve(K, y, p, C: float, a, tol: float, max_passes: int):
         else:
             z[i] += delta
             z[j] -= delta
-        v -= delta * (K[:, i] - K[:, j])
+        v -= delta * (Ki - cols.col(j))
         if (it + 1) % 1024 == 0:
-            v = -y * p - K @ z  # shed incremental rounding
+            v = -y * p - cols.dot(z)  # shed incremental rounding
 
     raise NonConvergence(
         f"pairwise solver still violating KKT by {viol:.3e} after {max_passes} passes",

@@ -86,7 +86,8 @@ def train(X_target, cfg: SvddTrainConfig, norm_stats: NormStats | None = None) -
     # spares a second n x n matrix
     p = -G.diagonal()
     G *= 2.0
-    alphas = smo.solve(G, np.ones(n), p, C, np.full(n, 1.0 / n), cfg.kkt_tol, max_passes)[0]
+    alphas = smo.solve(smo.Dense(G), np.ones(n), p, C, np.full(n, 1.0 / n),
+                       cfg.kkt_tol, max_passes)[0]
     G *= 0.5
 
     Ka = G @ alphas

@@ -18,6 +18,7 @@ from welldesc import (
     train_gnb,
     train_lda,
 )
+from welldesc import baselines, smo
 from welldesc.errors import NonConvergence, SingleClassInput, SingularCovariance
 from welldesc.kernels import gram
 
@@ -346,6 +347,121 @@ def test_svm_training_holds_one_gram_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * n * n * 8, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_svm_training_holds_under_a_quarter_gram():
+    """The solver reads kernel columns on demand, so the draw above peaks
+    well below one 18 MB Gram."""
+    rng = np.random.default_rng(51)
+    n = 1500
+    X = rng.normal(size=(n, 3))
+    y = np.where(rng.uniform(size=n) < 0.1, LOW, HIGH)
+    X[y == LOW] += 1.5
+    tracemalloc.start()
+    try:
+        train_csvm(X, y, WIDE, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * n * n * 8, f"peak {peak / 1e6:.1f} MB"
+
+
+# ------------------------------------------- kernel cache against dense Gram
+
+def _train_traced(X, y, spec, C, *, dense=False, cache_bytes=None):
+    """train_csvm, its full refreshes of v counted, and its kernel_row calls.
+
+    dense=True feeds the solver smo.Dense over gram() instead of the cache:
+    the reference the cached columns must reproduce.
+    """
+    refreshes, rows = [], []
+
+    class Counted(smo.Dense if dense else baselines._KernelColumns):
+        def dot(self, z):
+            refreshes.append(1)
+            return super().dot(z)
+
+    plain_row = baselines.kernel_row
+
+    def counted_row(*args):
+        rows.append(1)
+        return plain_row(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        if dense:
+            mp.setattr(baselines, "_KernelColumns", lambda kernel, Xn: Counted(gram(kernel, Xn)))
+        else:
+            mp.setattr(baselines, "_KernelColumns", Counted)
+        if cache_bytes is not None:
+            mp.setattr(baselines, "_CACHE_BYTES", cache_bytes)
+        mp.setattr(baselines, "kernel_row", counted_row)
+        m = train_csvm(X, y, spec, C)
+    return m, len(refreshes), len(rows)
+
+
+def _assert_same_model(a, b):
+    assert a.betas.tobytes() == b.betas.tobytes()
+    assert a.labels.tobytes() == b.labels.tobytes()
+    assert a.X_sv.tobytes() == b.X_sv.tobytes()
+    assert a.bias == b.bias
+
+
+def _parity_draws():
+    specs = (KernelSpec(width=1.5), KernelSpec(family="erbf", width=1.0),
+             KernelSpec(family="polynomial", degree=2, offset=1.0))
+    for seed in range(12):
+        rng = np.random.default_rng(700 + seed)
+        n, d = int(rng.integers(20, 300)), int(rng.integers(2, 10))
+        X = rng.normal(size=(n, d))
+        y = np.where(rng.uniform(size=n) < 0.2, LOW, HIGH)
+        y[:2] = [LOW, HIGH]
+        X[y == LOW] += 1.0
+        yield X, y, specs[seed % 3], float(rng.uniform(0.5, 5.0))
+
+
+def _dual(m):
+    Q = (m.labels[:, None] * m.labels[None, :]) * gram(m.kernel, m.X_sv)
+    return float(m.betas.sum() - 0.5 * m.betas @ Q @ m.betas)
+
+
+def test_svm_cached_columns_match_dense_gram_bit_for_bit():
+    """Draws that converge before the refresh at pass 1024 give the same
+    bytes; the rest, near-singular ones among them, the same dual value."""
+    exact = 0
+    for X, y, spec, C in _parity_draws():
+        got, refreshes, _ = _train_traced(X, y, spec, C)
+        ref, _, _ = _train_traced(X, y, spec, C, dense=True)
+        if refreshes == 1:
+            _assert_same_model(got, ref)
+            exact += 1
+        else:
+            assert abs(_dual(got) - _dual(ref)) <= 1e-9 * abs(_dual(ref))
+    assert exact >= 6
+
+
+def test_svm_evicted_columns_are_recomputed_bit_for_bit():
+    X, y, spec, C = next(_parity_draws())
+    roomy, _, roomy_rows = _train_traced(X, y, spec, C)
+    tight, _, tight_rows = _train_traced(X, y, spec, C, cache_bytes=3 * 8 * len(X))
+    assert tight_rows > roomy_rows  # columns were dropped and computed again
+    _assert_same_model(tight, roomy)
+    _assert_same_model(tight, _train_traced(X, y, spec, C, dense=True)[0])
+
+
+def test_svm_cached_columns_past_the_refresh_match_dense_dual_value():
+    """Past pass 1024 v is recomputed from cached columns in another order;
+    the dual optimum agrees to rounding. A cache of three columns, which must
+    recompute most columns it sums, gives the cached result's bytes."""
+    rng = np.random.default_rng(60)
+    n = 1500
+    X = rng.normal(size=(n, 3))
+    y = np.where(rng.uniform(size=n) < 0.5, LOW, HIGH)
+    got, refreshes, _ = _train_traced(X, y, WIDE, 1.0)
+    ref, _, _ = _train_traced(X, y, WIDE, 1.0, dense=True)
+    assert refreshes > 1
+    assert abs(_dual(got) - _dual(ref)) <= 1e-9 * abs(_dual(ref))
+    # a refresh recomputes the columns it finds evicted, to the same bits
+    _assert_same_model(_train_traced(X, y, WIDE, 1.0, cache_bytes=3 * 8 * n)[0], got)
 
 
 # ----------------------------------------------------------- normalization

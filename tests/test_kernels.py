@@ -156,6 +156,21 @@ def test_block_row_equals_per_row_values():
         assert all(diag[i] == eval_kernel(spec, q, q) for i, q in enumerate(Q))
 
 
+@pytest.mark.parametrize("d", [4, 9, 20])
+def test_kernel_row_and_diag_are_gram_bits(d):
+    """The SVM's kernel cache reads columns and the diagonal instead of the
+    Gram, and its output is bit-identical only if these are. numpy sums 8 or
+    more values pairwise, so d = 9 and 20 cover that path too."""
+    rng = np.random.default_rng(17 + d)
+    X = rng.normal(size=(60, d))
+    for spec in (KernelSpec(width=1.3), KernelSpec(family="erbf", width=0.8),
+                 KernelSpec(family="polynomial", degree=3, offset=1.0)):
+        G = gram(spec, X)
+        for i in range(X.shape[0]):
+            assert kernel_row(spec, X[i], X).tobytes() == G[:, i].tobytes()
+        assert kernel_diag(spec, X).tobytes() == G.diagonal().tobytes()
+
+
 def test_describe_parse_round_trip():
     for spec in (KernelSpec(width=2.0),
                  KernelSpec(family="erbf", width=0.25),

@@ -28,7 +28,6 @@ def test_hand_worked_one_dimensional_case():
     y = np.array([LOW, LOW, HIGH, HIGH])
     fw = relief_weights(X, y)
     assert abs(fw.weights[0] - 0.75) <= 1e-12
-    assert fw.m_used == 4
 
 
 def test_constant_feature_scores_exactly_zero():
@@ -85,21 +84,21 @@ def test_default_feature_names():
 def test_select_top_orders_by_weight():
     from welldesc.relief import FeatureWeights
     fw = FeatureWeights(weights=np.array([0.3, 0.1, 0.2]),
-                        feature_names=["a", "b", "c"], m_used=3)
+                        feature_names=["a", "b", "c"])
     assert select_top(fw, 2) == [0, 2]
 
 
 def test_select_top_tie_keeps_lowest_index():
     from welldesc.relief import FeatureWeights
     fw = FeatureWeights(weights=np.array([0.5, 0.5, 0.5]),
-                        feature_names=["a", "b", "c"], m_used=3)
+                        feature_names=["a", "b", "c"])
     assert select_top(fw, 1) == [0]
 
 
 def test_select_top_k_out_of_range():
     from welldesc.relief import FeatureWeights
     fw = FeatureWeights(weights=np.array([0.5, 0.2]),
-                        feature_names=["a", "b"], m_used=2)
+                        feature_names=["a", "b"])
     with pytest.raises(InvalidK):
         select_top(fw, 0)
     with pytest.raises(InvalidK):
