@@ -136,6 +136,8 @@ def _resolve_settings(args: argparse.Namespace) -> Settings:
         raise InvalidConfig(f"cost must lie in (0, 1], got {s.cost}")
     if s.relief_k < 1:
         raise InvalidConfig(f"relief_k must be at least 1, got {s.relief_k}")
+    if s.max_passes is not None and s.max_passes < 1:
+        raise InvalidConfig(f"max_passes must be at least 1, got {s.max_passes}")
     return s
 
 

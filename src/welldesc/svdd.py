@@ -13,7 +13,9 @@ on-sphere points, and a query x scores
 
 train solves the dual with the pairwise solver the SVM baseline also uses
 (`welldesc.smo`), as the minimum of 1/2 a'(2K)a - diag(K)'a with every
-y_i = 1. solve_dual_bruteforce is an independent reference for tests.
+y_i = 1. solve_dual_bruteforce is an independent reference for tests: it
+solves the same problem exactly with solve_box_qp, an interior-point method
+that also serves as the SVM dual's reference.
 """
 
 from dataclasses import dataclass
@@ -25,6 +27,7 @@ from .errors import (
     DimensionMismatch,
     EmptyTrainingSet,
     InfeasibleCost,
+    NonConvergence,
     OracleScaleExceeded,
 )
 from . import smo
@@ -169,38 +172,100 @@ def predict(m: SvddModel, X) -> np.ndarray:
     return np.where(_radius2(m, X) < lo, LOW, HIGH)
 
 
-def _project_capped_simplex(v: np.ndarray, C: float) -> np.ndarray:
-    """Euclidean projection onto {a : sum a = 1, 0 <= a <= C}.
+# Iteration cap of solve_box_qp. Random SVDD and SVM duals of up to 30
+# points, near-singular and duplicate-row Grams among them, need at most 15
+# iterations, so the cap only stops a runaway.
+_QP_MAX_ITER = 50
+_QP_TOL = 1e-12
+_QP_STEP = 0.995    # fraction of the step to the boundary that is taken
 
-    The projection is clip(v - t, 0, C) for the shift t that makes the sum 1.
-    The sum is piecewise linear and nonincreasing in t, so t is found exactly
-    from the breakpoints.
+
+def solve_box_qp(Q, p, y, c: float, C: float) -> np.ndarray:
+    """Minimize 1/2 a'Qa + p'a subject to y'a = c and 0 <= a <= C.
+
+    Mehrotra's predictor-corrector interior-point method (Mehrotra, SIAM J.
+    Optim. 1992; Nocedal & Wright, Numerical Optimization, ch. 16). Q must be
+    symmetric positive semidefinite. Each iteration factors
+    H = Q + diag(z_l/a + z_u/(C - a)) once by Cholesky, where z_l and z_u are
+    the multipliers of the two bounds, and takes the equality multiplier's
+    step from the scalar Schur complement y'H^-1 y. Iterates stay strictly
+    inside the box. Raises NonConvergence rather than return a point whose
+    residuals and duality gap are not all within _QP_TOL of zero.
     """
-    pts = np.unique(np.concatenate([v - C, v]))
-    sums = np.clip(v[np.newaxis, :] - pts[:, np.newaxis], 0.0, C).sum(axis=1)
-    k = int(np.flatnonzero(sums >= 1.0)[-1])
-    if sums[k] == 1.0 or k + 1 == pts.size:
-        t = pts[k]
-    else:
-        mid = 0.5 * (pts[k] + pts[k + 1])
-        shifted = v - mid
-        n_hi = int(np.count_nonzero(shifted >= C))
-        free = (shifted > 0.0) & (shifted < C)
-        n_free = int(np.count_nonzero(free))
-        if n_free == 0:
-            t = mid  # the sum is flat and already equals 1 on this segment
-        else:
-            t = (C * n_hi + float(v[free].sum()) - 1.0) / n_free
-    return np.clip(v - t, 0.0, C)
+    Q = np.asarray(Q, dtype=float)
+    p = np.asarray(p, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = p.size
+    C = float(C)
+    a = np.full(n, 0.5 * C)
+    zl = np.ones(n)
+    zu = np.ones(n)
+    lam = 0.0
+    dual_scale = 1.0 + max(float(np.abs(Q).max()), float(np.abs(p).max()))
+
+    def longest(da, dzl, dzu):
+        # largest t keeping a + t da, C - a - t da and z + t dz positive
+        t = np.inf
+        for v, dv in ((a, da), (C - a, -da), (zl, dzl), (zu, dzu)):
+            neg = dv < 0.0
+            if neg.any():
+                t = min(t, float(np.min(-v[neg] / dv[neg])))
+        return t
+
+    for it in range(_QP_MAX_ITER + 1):
+        s = C - a
+        rd = Q @ a + p - lam * y - zl + zu
+        rp = float(y @ a) - c
+        mu = float(a @ zl + s @ zu) / (2 * n)
+        viol = max(float(np.abs(rd).max()) / dual_scale, abs(rp) / (1.0 + abs(c)),
+                   mu / (dual_scale * max(1.0, C)))
+        if viol <= _QP_TOL:
+            return a
+        if it == _QP_MAX_ITER:
+            raise NonConvergence(
+                f"interior-point solver did not converge in {_QP_MAX_ITER} iterations",
+                kkt_violation=viol)
+        try:
+            L = np.linalg.cholesky(Q + np.diag(zl / a + zu / s))
+        except np.linalg.LinAlgError:
+            raise NonConvergence("interior-point system lost positive definiteness",
+                                 kkt_violation=viol) from None
+
+        def solve(r):
+            return np.linalg.solve(L.T, np.linalg.solve(L, r))
+
+        Hy = solve(y)
+        yHy = float(y @ Hy)
+
+        def direction(cl, cu):
+            # Newton step on the KKT system with the complementarity
+            # residuals a*z_l - target = cl and (C - a)*z_u - target = cu
+            v = solve(-rd - cl / a + cu / s)
+            dlam = (-rp - float(y @ v)) / yHy
+            da = v + dlam * Hy
+            return da, dlam, (-cl - zl * da) / a, (zu * da - cu) / s
+
+        # predictor: the pure Newton (affine-scaling) step
+        da, _, dzl, dzu = direction(a * zl, s * zu)
+        t = min(1.0, longest(da, dzl, dzu))
+        mu_aff = float((a + t * da) @ (zl + t * dzl) + (s - t * da) @ (zu + t * dzu)) / (2 * n)
+        target = (mu_aff / mu) ** 3 * mu
+        # corrector: recentre toward target, with the predictor's second-order terms
+        da, dlam, dzl, dzu = direction(a * zl + da * dzl - target, s * zu - da * dzu - target)
+        t = min(1.0, _QP_STEP * longest(da, dzl, dzu))
+        a = a + t * da
+        lam += t * dlam
+        zl = zl + t * dzl
+        zu = zu + t * dzu
 
 
-def solve_dual_bruteforce(K, C: float, max_iter: int = 1_000_000) -> np.ndarray:
-    """Reference solver: projected-gradient ascent on the capped simplex.
+def solve_dual_bruteforce(K, C: float) -> np.ndarray:
+    """Reference maximizer of the dual L(a), for tests.
 
-    Deliberately shares no code with the pairwise solver. Starts from the
-    uniform point, takes a diminishing projection step with an exact line
-    search along each projected direction, and returns the best iterate seen.
-    Restricted to n <= 30.
+    Deliberately shares no code with the pairwise solver: it hands
+    min 1/2 a'(2K)a - diag(K)'a, sum a = 1, 0 <= a <= C to the
+    interior-point solve_box_qp, which meets the optimality conditions to
+    1e-12. Restricted to n <= 30.
     """
     K = np.asarray(K, dtype=float)
     n = K.shape[0]
@@ -211,49 +276,9 @@ def solve_dual_bruteforce(K, C: float, max_iter: int = 1_000_000) -> np.ndarray:
     C = float(C)
     if C < 1.0 / n - 1e-12 or C > 1.0 + 1e-12:
         raise InfeasibleCost(f"C={C} outside [1/n, 1] for n={n}")
-
-    a = np.full(n, 1.0 / n)
     if n == 1:
-        return a
-    diag = K.diagonal().copy()
-
-    def objective(vec):
-        return float(diag @ vec - vec @ K @ vec)
-
-    lam = float(np.linalg.eigvalsh(K)[-1])
-    base = 1.0 / (2.0 * lam) if lam > 0.0 else 1.0
-    take = np.minimum(C, np.maximum(0.0, 1.0 - C * np.arange(n)))
-    best_f = objective(a)
-    best_a = a.copy()
-    stall = 0
-    for it in range(max_iter):
-        g = diag - 2.0 * (K @ a)
-        # concavity gives f* - f(a) <= max over feasible z of g.(z - a); the
-        # maximizer greedily stacks mass C on the largest gradients. The bound
-        # is loose when K is near singular, so a stagnation window backs it up.
-        bound = float(np.sort(g)[::-1] @ take) - float(g @ a)
-        if bound <= 1e-10 * max(1.0, abs(best_f)):
-            break
-        step = base / (1.0 + it / 65536.0)
-        d = _project_capped_simplex(a + step * g, C) - a
-        if float(np.max(np.abs(d))) < 1e-15:
-            break
-        gd = float(g @ d)
-        dKd = float(d @ K @ d)
-        t = 1.0 if dKd <= 0.0 else min(1.0, gd / (2.0 * dKd))
-        if t <= 0.0:
-            break
-        a = a + t * d
-        f = objective(a)
-        if f > best_f + 1e-11 * max(1.0, abs(best_f)):
-            best_f, best_a, stall = f, a.copy(), 0
-        else:
-            if f > best_f:
-                best_f, best_a = f, a.copy()
-            stall += 1
-            if stall >= 1024:   # creeping below 1e-11 relative per step
-                break
-    return best_a
+        return np.ones(1)
+    return solve_box_qp(2.0 * K, -K.diagonal(), np.ones(n), 1.0, C)
 
 
 def dual_objective(K, alphas) -> float:

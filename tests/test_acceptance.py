@@ -54,8 +54,8 @@ def _report(num, name, ok):
 # 1 ------------------------------------------------------------------------
 
 def test_acceptance_1_solver_matches_reference_optimum():
-    """100 random problems: the trainer's dual objective agrees with a
-    projected-gradient reference to 1e-5, in under 30 seconds total."""
+    """100 random problems: the trainer's dual objective agrees with an
+    interior-point reference to 1e-5, in under 30 seconds total."""
     t0 = time.monotonic()
     worst_obj = 0.0
     worst_alpha = 0.0

@@ -21,6 +21,7 @@ from welldesc import (
 from welldesc import baselines, smo
 from welldesc.errors import NonConvergence, SingleClassInput, SingularCovariance
 from welldesc.kernels import gram
+from welldesc.svdd import solve_box_qp
 
 WIDE = KernelSpec(width=2.0)
 
@@ -252,49 +253,8 @@ def test_svm_deterministic():
 
 # ------------------------------------------------- SVM dual reference check
 
-def _project_hyperplane_box(v, y, C):
-    # beta = clip(v - t*y, 0, C) with t chosen by bisection so y.beta = 0
-    span = float(np.max(np.abs(v))) + C + 1.0
-    lo, hi = -span, span
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if float(y @ np.clip(v - mid * y, 0.0, C)) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return np.clip(v - 0.5 * (lo + hi) * y, 0.0, C)
-
-
-def _best_dual_value(K, y, C, iters=100000):
-    """Projected-gradient reference for the soft-margin dual maximum."""
-    Q = (y[:, None] * y[None, :]) * K
-    lam = float(np.linalg.eigvalsh(Q)[-1])
-    eta = 1.0 / lam if lam > 0 else 1.0
-    b = _project_hyperplane_box(np.zeros(y.size), y, C)
-    best = float(b.sum() - 0.5 * b @ Q @ b)
-    stall = 0
-    for _ in range(iters):
-        g = 1.0 - Q @ b
-        d = _project_hyperplane_box(b + eta * g, y, C) - b
-        if float(np.max(np.abs(d))) < 1e-15:
-            break
-        dQd = float(d @ Q @ d)
-        t = 1.0 if dQd <= 0 else min(1.0, float(g @ d) / dQd)
-        if t <= 0:
-            break
-        b = b + t * d
-        f = float(b.sum() - 0.5 * b @ Q @ b)
-        if f > best + 4e-15 * max(1.0, abs(best)):
-            best, stall = f, 0
-        else:
-            stall += 1
-            if stall >= 512:
-                break
-    return best
-
-
 def _svm_reference_cases():
-    """(X, labels, kernel, C, reference iterations) of each checked problem."""
+    """(X, labels, kernel, C) of each checked problem."""
     for seed in range(10):
         rng = np.random.default_rng(900 + seed)
         n, d = 10, int(rng.integers(1, 4))
@@ -302,30 +262,31 @@ def _svm_reference_cases():
         y01 = np.zeros(n, dtype=int)
         y01[rng.choice(n, size=n // 2, replace=False)] = 1
         spec = KernelSpec(width=float(rng.uniform(0.5, 3.0)))
-        yield X, y01, spec, float(rng.uniform(0.5, 10.0)), 100000
+        yield X, y01, spec, float(rng.uniform(0.5, 10.0))
     # 7 points on a line under a wide kernel: the Gram's smallest eigenvalue
     # is 2.5e-13, and a most-violating-pair rule still violates the KKT
-    # conditions by 4.5e-5 after the default 10 n^2 passes. Projected
-    # gradient creeps along the flat directions too: 2000 iterations take a
-    # few seconds and end within 2.5e-6 of the solver's dual value, while
-    # the default cap of 100000 would allow minutes.
+    # conditions by 4.5e-5 after the default 10 n^2 passes
     rng = np.random.default_rng(1005)
     n, d = int(rng.integers(6, 9)), int(rng.integers(1, 5))
     X = rng.normal(size=(n, d))
     spec = KernelSpec(width=float(rng.uniform(0.5, 4.0)))
     C = float(rng.uniform(0.1, 10.0))
-    yield X, np.where(rng.uniform(size=n) < 0.4, LOW, HIGH), spec, C, 2000
+    yield X, np.where(rng.uniform(size=n) < 0.4, LOW, HIGH), spec, C
 
 
-def test_svm_solver_matches_projected_gradient_reference():
+def test_svm_solver_matches_reference_optimum():
+    """The trained dual value equals the interior-point reference's."""
     worst = 0.0
-    for X, y01, spec, C, ref_iters in _svm_reference_cases():
+    for X, y01, spec, C in _svm_reference_cases():
         m = train_csvm(X, y01, spec, C)
         ysv = m.labels
         Ksv = gram(spec, m.X_sv)
         got = float(m.betas.sum()
                     - 0.5 * m.betas @ ((ysv[:, None] * ysv[None, :]) * Ksv) @ m.betas)
-        ref = _best_dual_value(gram(spec, X), np.where(y01 == LOW, 1.0, -1.0), C, ref_iters)
+        y = np.where(y01 == LOW, 1.0, -1.0)
+        Q = (y[:, None] * y[None, :]) * gram(spec, X)
+        b = solve_box_qp(Q, -np.ones(y.size), y, 0.0, C)
+        ref = float(b.sum() - 0.5 * b @ Q @ b)
         worst = max(worst, abs(got - ref))
     assert worst <= 1e-5
 

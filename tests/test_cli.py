@@ -212,6 +212,16 @@ def test_run_exit_five_on_nonconvergence(tmp_path):
     assert any(ln.startswith("gnb,average,") and "NA" not in ln for ln in lines)
 
 
+@pytest.mark.parametrize("passes", ["0", "-1"])
+def test_run_max_passes_below_one_rejected(tmp_path, passes):
+    r = run_small(tmp_path, "--max-passes", passes, "--classifiers", "svdd",
+                  "--test-wells", "A")
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: ") and "max_passes" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not (tmp_path / "report.csv").exists()
+
+
 def test_run_no_external_minority(tmp_path):
     csv = tmp_path / "lopsided.csv"
     rows = [f"A,{i},0.{i}1,0.2,0.1" for i in range(1, 7)]

@@ -18,6 +18,7 @@ from welldesc import (
     solve_dual_bruteforce,
     train,
 )
+from welldesc import svdd
 from welldesc.errors import (
     EmptyTrainingSet,
     InfeasibleCost,
@@ -329,14 +330,36 @@ def test_oracle_matches_solver_objective():
         assert abs(dual_objective(K, m.alphas) - dual_objective(K, a)) <= 1e-5
 
 
-def test_oracle_respects_constraints():
-    rng = np.random.default_rng(10)
-    X = rng.normal(size=(14, 2))
-    C = 0.11
-    a = solve_dual_bruteforce(gram(WIDE, X), C)
+ORACLE_CASES = {
+    "random": lambda rng: (rng.normal(size=(14, 2)), WIDE, 0.11),
+    # the box leaves one feasible point, a = C everywhere
+    "cost-one-over-n": lambda rng: (rng.normal(size=(14, 2)), WIDE, 1.0 / 14),
+    "duplicate-rows": lambda rng: (np.tile(rng.normal(size=(7, 2)), (2, 1)), WIDE, 0.11),
+    "n-at-cap": lambda rng: (rng.normal(size=(30, 3)), WIDE, 0.05),
+    # 1-d points under a wide kernel: the Gram's bottom eigenvalues are ~1e-16
+    "near-singular": lambda rng: (rng.normal(size=(20, 1)), KernelSpec(width=4.0), 0.2),
+}
+
+
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+def test_oracle_respects_constraints(case):
+    X, spec, C = ORACLE_CASES[case](np.random.default_rng(10))
+    K = gram(spec, X)
+    a = solve_dual_bruteforce(K, C)
     assert abs(a.sum() - 1.0) <= 1e-9
     assert np.all(a >= -1e-12)
     assert np.all(a <= C + 1e-12)
+    # and it is the optimum: no worse than the trainer's multipliers
+    trained = train(X, SvddTrainConfig(kernel=spec, C=C)).alphas
+    assert dual_objective(K, a) >= dual_objective(K, trained) - 1e-9
+
+
+def test_oracle_raises_at_its_iteration_cap(monkeypatch):
+    monkeypatch.setattr(svdd, "_QP_MAX_ITER", 1)
+    X = np.random.default_rng(10).normal(size=(14, 2))
+    with pytest.raises(NonConvergence) as err:
+        solve_dual_bruteforce(gram(WIDE, X), 0.11)
+    assert err.value.kkt_violation > 0.0
 
 
 def test_oracle_refuses_large_instances():
