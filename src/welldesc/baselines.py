@@ -138,7 +138,9 @@ class _KernelColumns:
     bit for bit. It is computed the first time the solver asks for it and
     kept; past _CACHE_BYTES the least recently used column is dropped and
     computed again if it is asked for again (the kernel cache of SVMlight
-    and LIBSVM). dot(z) adds the columns of the nonzero z_i in index order.
+    and LIBSVM). dot(z) adds the columns of the nonzero z_i in index order,
+    reading the cached ones and computing the others without keeping them,
+    so a refresh leaves the cache and its order as they were.
     """
 
     def __init__(self, kernel: KernelSpec, Xn: np.ndarray):
@@ -161,7 +163,10 @@ class _KernelColumns:
     def dot(self, z: np.ndarray) -> np.ndarray:
         out = np.zeros(self.Xn.shape[0])
         for i in np.flatnonzero(z):
-            out += z[i] * self.col(int(i))
+            column = self.cache.get(int(i))
+            if column is None:
+                column = kernel_row(self.kernel, self.Xn[i], self.Xn)
+            out += z[i] * column
         return out
 
 

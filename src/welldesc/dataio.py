@@ -7,8 +7,8 @@ rows are sorted by strictly increasing depth.
 load_table reads a CSV in fixed chunks of rows and turns each chunk into
 float arrays a column at a time; only a column that holds a blank, a U+2212
 minus sign or bad text is parsed cell by cell. A faulty file is reported at
-its first faulty line in file order, with the same error a row-by-row read
-would raise.
+its first faulty record in file order, with the same error a row-by-row read
+would raise, and at the file line where that record starts.
 """
 
 import csv
@@ -145,12 +145,26 @@ def _first(mask: np.ndarray) -> int:
     return int(hits[0]) if hits.size else mask.size
 
 
-def _raise_row_fault(path, line_no: int, row: list, col: dict, feature_names: list, target_name: str):
+def _file_line(path, record: int) -> int:
+    """File line on which csv record number `record` (the header is 1) starts.
+
+    It differs from the record number once a quoted cell holds a newline.
+    Only a faulty file needs it, so this second read is on the error path.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        for _ in islice(reader, record - 1):
+            pass
+        return reader.line_num + 1
+
+
+def _raise_row_fault(path, record: int, row: list, col: dict, feature_names: list, target_name: str):
     """Raise the first fault of a row known to have one, in the per-row check order.
 
     A row whose depth and feature cells all parse, and whose depth is a
     number, is faulty only through its target, which then lies outside [0, 1].
     """
+    line_no = _file_line(path, record)
     if math.isnan(_parse_cell(row[col["depth"]], line_no, "depth")):
         raise NonNumericCell(line_no, "depth", row[col["depth"]])
     for f in feature_names:
@@ -159,7 +173,7 @@ def _raise_row_fault(path, line_no: int, row: list, col: dict, feature_names: li
     raise MalformedFile(f"{path}: line {line_no}: target {tv} outside [0, 1]")
 
 
-def _parse_chunk(path, rows: list, lines: np.ndarray, width: int, col: dict,
+def _parse_chunk(path, rows: list, records: np.ndarray, width: int, col: dict,
                  feature_names: list, target_name: str) -> tuple:
     """Stripped well ids and a float block [depth, features..., target] of csv rows.
 
@@ -177,9 +191,9 @@ def _parse_chunk(path, rows: list, lines: np.ndarray, width: int, col: dict,
     depth, target = block[:, 0], block[:, -1]
     bad = min(bad, _first(np.isnan(depth) | (target < 0.0) | (target > 1.0)))
     if bad < n_ok:
-        _raise_row_fault(path, int(lines[bad]), rows[bad], col, feature_names, target_name)
+        _raise_row_fault(path, int(records[bad]), rows[bad], col, feature_names, target_name)
     if n_ok < len(rows):
-        raise MalformedFile(f"{path}: line {int(lines[n_ok])} has {len(rows[n_ok])} cells, expected {width}")
+        raise MalformedFile(f"{path}: line {_file_line(path, int(records[n_ok]))} has {len(rows[n_ok])} cells, expected {width}")
     return list(map(str.strip, columns[col["well"]])), block
 
 
@@ -192,10 +206,11 @@ def load_table(path, schema: list) -> WellTable:
 
     The file is read in chunks of _CHUNK_ROWS csv rows, and each chunk is
     parsed a column at a time, so per-row temporaries stay bounded whatever
-    the file size. The first faulty row in file order is the one reported:
-    a short row, then within a row the depth, the features in schema order
-    and the target. A repeated depth is reported once the whole file has
-    parsed, for the first well in well order.
+    the file size. The first faulty row in file order is the one reported,
+    at the file line where it starts: a short row, then within a row the
+    depth, the features in schema order and the target. A repeated depth is
+    reported once the whole file has parsed, for the first well in well
+    order.
     """
     if len(schema) < 2:
         raise MalformedFile("schema needs at least one feature column and a target column")
@@ -215,14 +230,14 @@ def load_table(path, schema: list) -> WellTable:
 
         well_rank: dict = {}
         ranks, blocks = [], []
-        first_line = 2
+        first_record = 2
         while rows := list(islice(reader, _CHUNK_ROWS)):
-            lines = np.arange(first_line, first_line + len(rows))
-            first_line += len(rows)
+            records = np.arange(first_record, first_record + len(rows))
+            first_record += len(rows)
             filled = np.fromiter(map(len, map(str.strip, map("".join, rows))), np.intp, count=len(rows)) > 0
             if not filled.all():
-                rows, lines = list(compress(rows, filled)), lines[filled]
-            well_ids, block = _parse_chunk(path, rows, lines, len(header), col, feature_names, target_name)
+                rows, records = list(compress(rows, filled)), records[filled]
+            well_ids, block = _parse_chunk(path, rows, records, len(header), col, feature_names, target_name)
             for w in dict.fromkeys(well_ids):
                 well_rank.setdefault(w, len(well_rank))
             ranks.append(np.fromiter(map(well_rank.__getitem__, well_ids), np.intp, count=len(well_ids)))

@@ -10,10 +10,12 @@ The nearest-neighbor search is split by class and done in blocks: a class's
 rows are queried against that class's own rows for hits and against every
 other row for misses, a block of query rows at a time, so no row-level mask
 is built and the temporary memory stays bounded whatever the row count.
-Distances are summed in the order numpy sums one row, the square root is
-kept before the argmin, and the weight vector adds the per-row terms one
-after another in row order, so the weights equal those of the plain
-one-row-at-a-time pass bit for bit.
+Each block is screened with one matrix product, ‖c‖² − 2q·c, whose rounding
+error has a known bound. A row whose best and second-best screen values lie
+within that bound is re-checked with the exact distance the per-row pass
+uses, over every candidate within the bound, and the first minimum wins. The
+weight vector adds the per-row terms one after another in row order, so the
+weights equal those of the plain one-row-at-a-time pass bit for bit.
 """
 
 from dataclasses import dataclass
@@ -42,10 +44,12 @@ def relief_weights(X, y, feature_names=None) -> FeatureWeights:
     miss term. A NaN or infinite cell raises NonFiniteInput.
 
     The search runs per class in blocks of ``max(1, 32768 // m)`` query rows
-    against m candidates, so each temporary holds about 256 KB. Squared
-    differences are added in numpy's summation order for one row, then
-    square-rooted, and W adds ``-hit_0, +miss_0, -hit_1, ...`` left to right;
-    the weights are therefore bit-identical to a per-row loop.
+    against m candidates, so each temporary holds about 256 KB. A GEMM
+    screen ranks the candidates; any candidate the screen cannot tell from
+    the best within its rounding bound is re-measured as
+    ``sqrt(sum((x - c)**2))``, the per-row pass's own expression. W adds
+    ``-hit_0, +miss_0, -hit_1, ...`` left to right; the weights are
+    therefore bit-identical to a per-row loop.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
@@ -63,25 +67,23 @@ def relief_weights(X, y, feature_names=None) -> FeatureWeights:
     if not (spread > 0).any():
         raise ConstantAllFeatures("every feature is constant")
     S = (X - vmin) / np.where(spread > 0, spread, 1.0)
-    ST = np.ascontiguousarray(S.T)
 
-    hit = np.empty(n, dtype=np.intp)
-    hit_dist = np.empty(n)
+    # A row whose class has no second member keeps itself as its hit: its
+    # term is -0.0, which leaves every partial sum of W unchanged.
+    hit = np.arange(n)
     miss = np.empty(n, dtype=np.intp)
     for c in classes:
         own = np.flatnonzero(y == c)
         other = np.flatnonzero(y != c)
-        j, hit_dist[own] = _nearest(S[own], ST[:, own], skip_self=True)
-        hit[own] = own[j]
-        j, _ = _nearest(S[own], ST[:, other])
-        miss[own] = other[j]
+        if own.size > 1:
+            hit[own] = own[_nearest(S[own], S[own], skip_self=True)]
+        miss[own] = other[_nearest(S[own], S[other])]
 
-    # Row 0 is W's zero start; row 2i+1 is -|hit_i - x_i| (0 without a hit),
-    # row 2i+2 is |miss_i - x_i|. accumulate adds strictly in row order,
-    # unlike reduce, which may sum a contiguous column pairwise.
+    # Row 0 is W's zero start; row 2i+1 is -|hit_i - x_i|, row 2i+2 is
+    # |miss_i - x_i|. accumulate adds strictly in row order, unlike reduce,
+    # which may sum a contiguous column pairwise.
     terms = np.zeros((2 * n + 1, d))
-    found = np.flatnonzero(np.isfinite(hit_dist))
-    terms[2 * found + 1] = -np.abs(S[hit[found]] - S[found])
+    terms[1::2] = -np.abs(S[hit] - S)
     terms[2::2] = np.abs(S[miss] - S)
     W = np.add.accumulate(terms, axis=0, out=terms)[-1] / n
 
@@ -90,58 +92,48 @@ def relief_weights(X, y, feature_names=None) -> FeatureWeights:
     return FeatureWeights(weights=W, feature_names=list(feature_names))
 
 
-def _nearest(Q, CT, skip_self=False):
-    """Position in the candidates of each query row's nearest one, and its distance.
+def _nearest(Q, C, skip_self=False):
+    """Position in the candidate rows C of each query row's nearest one.
 
-    ``CT`` holds the m candidates as columns (d×m). With ``skip_self`` the
-    queries are the candidates themselves and query i never matches
-    candidate i. Ties go to the lowest position, as argmin keeps the first.
+    With ``skip_self`` the queries are the candidates themselves and query i
+    never matches candidate i. Ties go to the lowest position, and the
+    distance that decides is the per-row pass's, bit for bit.
+
+    All values lie in [0, 1]. The screen s = ‖c‖² − 2q·c differs from the
+    exact ‖q − c‖² − ‖q‖² by at most about 3(d+2)d·eps/2 whatever the BLAS
+    summation order, the per-row pass's sum of squares is within (d−1)d·eps/2
+    of exact, and its square root moves ties by at most d·eps. So the true
+    nearest row lies within 4(d+2)d·eps of the screen's minimum; ``tol`` is
+    16 times that. A row with no second candidate that close keeps the
+    screen's argmin, which then is the exact one.
     """
-    m = CT.shape[1]
+    m, d = C.shape
+    cc = np.square(C).sum(axis=1)
+    tol = 64 * (d + 2) * d * np.finfo(float).eps
     rows = max(1, _BLOCK_ENTRIES // m)
     pos = np.empty(len(Q), dtype=np.intp)
-    best = np.empty(len(Q))
     for a in range(0, len(Q), rows):
         q = Q[a:a + rows]
         r = np.arange(len(q))
-        dist = np.sqrt(_sq_dist(q, CT, 0, len(CT)))
+        s = _screen(q, C.T, cc)
         if skip_self:
-            dist[r, a + r] = np.inf
-        j = dist.argmin(axis=1)
+            s[r, a + r] = np.inf
+        j = s.argmin(axis=1)
+        lo = s[r, j]
+        s[r, j] = np.inf
+        for i in np.flatnonzero(s.min(axis=1) <= lo + tol):
+            s[i, j[i]] = lo[i]
+            cand = np.flatnonzero(s[i] <= lo[i] + tol)
+            j[i] = cand[np.sqrt(np.square(q[i] - C[cand]).sum(axis=1)).argmin()]
         pos[a:a + len(q)] = j
-        best[a:a + len(q)] = dist[r, j]
-    return pos, best
+    return pos
 
 
-def _sq_dist(q, CT, lo, hi):
-    """Squared distances over features lo..hi-1 between query rows and candidates.
-
-    The per-feature terms are added in the order numpy's pairwise summation
-    adds one contiguous row of hi-lo values: left to right below 8 values,
-    eight running sums combined as a tree up to 128, halves above that. The
-    result therefore equals ``np.square(x - C).sum(axis=1)`` bit for bit.
-    """
-    def sq(k):
-        t = q[:, k, None] - CT[k]
-        return np.square(t, out=t)
-
-    n = hi - lo
-    if n < 8:
-        acc = sq(lo)
-        for k in range(lo + 1, hi):
-            acc += sq(k)
-        return acc
-    if n <= 128:
-        part = [sq(lo + j) for j in range(8)]
-        stop = hi - n % 8
-        for k in range(lo + 8, stop):
-            part[(k - lo) % 8] += sq(k)
-        acc = ((part[0] + part[1]) + (part[2] + part[3])) + ((part[4] + part[5]) + (part[6] + part[7]))
-        for k in range(stop, hi):
-            acc += sq(k)
-        return acc
-    half = n // 2 - (n // 2) % 8
-    return _sq_dist(q, CT, lo, lo + half) + _sq_dist(q, CT, lo + half, hi)
+def _screen(q, CT, cc):
+    """‖c‖² − 2q·c for every query row and candidate column: ‖q − c‖² less ‖q‖²."""
+    s = (-2.0 * q) @ CT
+    s += cc
+    return s
 
 
 def select_top(w: FeatureWeights, k: int = 4) -> list:

@@ -425,6 +425,37 @@ def test_svm_cached_columns_past_the_refresh_match_dense_dual_value():
     _assert_same_model(_train_traced(X, y, WIDE, 1.0, cache_bytes=3 * 8 * n)[0], got)
 
 
+def test_svm_refresh_leaves_the_column_cache_alone():
+    """dot(z) reads cached columns and computes the missing ones without
+    keeping them, so a refresh neither evicts nor reorders the cache."""
+    rng = np.random.default_rng(61)
+    n = 40
+    Xn = rng.normal(size=(n, 3))
+    z = rng.normal(size=n)
+    z[::3] = 0.0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(baselines, "_CACHE_BYTES", 3 * 8 * n)
+        cols = baselines._KernelColumns(WIDE, Xn)
+    for i in (7, 2, 30, 2):
+        cols.col(i)
+    assert list(cols.cache) == [7, 30, 2]
+    got = cols.dot(z)
+    assert list(cols.cache) == [7, 30, 2]
+    want = np.zeros(n)
+    for i in np.flatnonzero(z):
+        want += z[i] * baselines.kernel_row(WIDE, Xn[i], Xn)
+    assert got.tobytes() == want.tobytes()
+
+    # past the refresh at pass 1024, a cache of three columns trains the
+    # bytes a cache that never evicts does
+    rng = np.random.default_rng(60)
+    X = rng.normal(size=(800, 3))
+    y = np.where(rng.uniform(size=800) < 0.5, LOW, HIGH)
+    tight, refreshes, _ = _train_traced(X, y, WIDE, 1.0, cache_bytes=3 * 8 * 800)
+    assert refreshes > 1
+    _assert_same_model(tight, _train_traced(X, y, WIDE, 1.0)[0])
+
+
 # ----------------------------------------------------------- normalization
 
 def test_trainers_accept_shared_norm_stats():

@@ -189,7 +189,9 @@ def reference_load_table(path, schema):
         col = {name: header.index(name) for name in header}
 
         well_col, depth_col, feat_rows, target_col = [], [], [], []
-        for line_no, row in enumerate(reader, start=2):
+        start = reader.line_num + 1
+        for row in reader:
+            line_no, start = start, reader.line_num + 1
             if not row or all(cell.strip() == "" for cell in row):
                 continue
             if len(row) < len(header):
@@ -300,6 +302,9 @@ PARITY_CASES = {
     "repeated-signed-zero-depth": ["W1,-0,1,2,3,4,0", "W1,0,1,2,3,4,0"],
     "faults-on-two-lines": ["W1,100,10,0.2,2.3,80,7", "W1,101,x,0.3,2.4,82,0.6"],
     "faults-in-one-row": ["W1,,x,0.3,2.4,82,7"],
+    "quoted-newline-then-bad-cell": ['"W\n1",100,10,0.2,2.3,80,0.5', "W1,101,11,0.3,2.4,82,0.6", "W1,102,x,0.4,2.5,84,0.7"],
+    "quoted-newline-then-short-row": ["W1,100,10,0.2,2.3,80,0.5", '"W\n2",100,10,0.2,2.3,80,0.5', "W1,101,11"],
+    "quoted-newline-in-bad-row": ["W1,100,10,0.2,2.3,80,0.5", '"W\n1",101,11,0.3,2.4,82,1.5'],
 }
 
 
@@ -308,6 +313,14 @@ PARITY_CASES = {
 def test_parity_case_matches_reference(tmp_path, monkeypatch, case, chunk):
     monkeypatch.setattr(dataio, "_CHUNK_ROWS", chunk)
     assert_same_outcome(write_csv(tmp_path / "case.csv", PARITY_CASES[case]))
+
+
+def test_fault_after_quoted_newline_reports_file_line(tmp_path):
+    # line 1 header, lines 2-3 one record, line 4 clean, line 5 the bad cell
+    path = write_csv(tmp_path / "case.csv", PARITY_CASES["quoted-newline-then-bad-cell"])
+    with pytest.raises(NonNumericCell) as exc:
+        load_table(path, SCHEMA)
+    assert (exc.value.line, exc.value.column, exc.value.text) == (5, "GR", "x")
 
 
 _WELLS = ["A", "B", " W1", "W1", "W1 "]

@@ -12,6 +12,7 @@ from welldesc import (
     relief_weights,
     select_top,
 )
+from welldesc import relief
 from welldesc.errors import (
     ConstantAllFeatures,
     DimensionMismatch,
@@ -222,6 +223,38 @@ def _case_wide(d, seed):
     return build
 
 
+def _one_ulp_pair(rng, centre, equal_root):
+    """A row x and rows a, b near it whose squared distances from x, summed as
+    the per-row pass sums them, differ by one ulp, a's being the smaller. With
+    equal_root their square roots are equal as well."""
+    while True:
+        x = centre + rng.uniform(-0.05, 0.05, size=3)
+        p = rng.uniform(-1e-2, 1e-2, size=3)
+        a, b = x + p, x + p[[2, 0, 1]]
+        ra, rb = np.square(x - np.array([a, b])).sum(axis=1)
+        if rb == np.nextafter(ra, np.inf) and (np.sqrt(ra) == np.sqrt(rb)) == equal_root:
+            return x, a, b
+
+
+def _case_near_tie():
+    # The corner rows pin the min-max scale to the identity, so the scaled rows
+    # are the ones built here. Each x has b then a as its two nearest rows, a
+    # one ulp nearer in squared distance: the lower index b must win when the
+    # roots are equal and lose when they are not, for hits (x in a's class)
+    # and for misses. The last a and b also have exact duplicates.
+    rng = np.random.default_rng(46)
+    X, y = [np.zeros(3), np.ones(3)], [LOW, HIGH]
+    for centre, x_class, equal_root in [(0.25, LOW, True), (0.75, LOW, False),
+                                        ((0.25, 0.75, 0.25), HIGH, True),
+                                        ((0.75, 0.25, 0.75), HIGH, False)]:
+        x, a, b = _one_ulp_pair(rng, np.broadcast_to(centre, 3), equal_root)
+        X += [x, b, a]
+        y += [x_class, LOW, LOW]
+    X += [a, b]
+    y += [LOW, LOW]
+    return np.array(X), np.array(y)
+
+
 def _case_synthetic_scale_table():
     table = gen_synthetic(SynthConfig(n_wells=8, rows_per_well=1000, skew=0.95,
                                       n_features=6, seed=1))
@@ -229,7 +262,7 @@ def _case_synthetic_scale_table():
     return data.X, data.y
 
 
-@pytest.mark.parametrize("build", [
+_BIT_IDENTITY_CASES = pytest.mark.parametrize("build", [
     _case_duplicate_rows,
     _case_single_member_class,
     _case_constant_feature,
@@ -239,10 +272,32 @@ def _case_synthetic_scale_table():
     _case_wide(20, 2),
     _case_wide(140, 3),
     _case_synthetic_scale_table,
+    _case_near_tie,
 ], ids=["duplicate-rows", "single-member-class", "constant-feature",
         "ragged-last-block", "one-feature", "9-features", "20-features",
-        "140-features", "synthetic-8x1000"])
+        "140-features", "synthetic-8x1000", "near-tie"])
+
+
+@_BIT_IDENTITY_CASES
 def test_weights_bit_identical_to_per_row_pass(build):
+    X, y = build()
+    assert np.array_equal(relief_weights(X, y).weights, reference_relief(X, y))
+
+
+@_BIT_IDENTITY_CASES
+def test_weights_survive_screen_error_within_half_its_bound(monkeypatch, build):
+    """The screen's rounding depends on the BLAS kernel and thread count.
+    Noise of up to half the re-check bound, 64·(d+2)·d·eps, stands in for
+    any such rounding: the weights must not move."""
+    rng = np.random.default_rng(48)
+    screen = relief._screen
+
+    def noisy(q, CT, cc):
+        d = CT.shape[0]
+        half = 32 * (d + 2) * d * np.finfo(float).eps
+        return screen(q, CT, cc) + rng.uniform(-half, half, size=(len(q), CT.shape[1]))
+
+    monkeypatch.setattr(relief, "_screen", noisy)
     X, y = build()
     assert np.array_equal(relief_weights(X, y).weights, reference_relief(X, y))
 
