@@ -171,8 +171,7 @@ class _KernelColumns:
 
 
 def train_csvm(X, y, kernel: KernelSpec | None = None, C_svm: float = 1.0,
-               tol: float = 1e-6, max_iter: int | None = None,
-               norm_stats: NormStats | None = None) -> SvmModel:
+               max_iter: int | None = None, norm_stats: NormStats | None = None) -> SvmModel:
     """Soft-margin kernel SVM, its dual solved by the shared pairwise solver.
 
     LOW maps to +1, HIGH to -1. Each working pair is the most violating index
@@ -194,6 +193,7 @@ def train_csvm(X, y, kernel: KernelSpec | None = None, C_svm: float = 1.0,
     n = Xn.shape[0]
     yy = np.where(y == LOW, 1.0, -1.0)
     C = float(C_svm)
+    tol = 1e-6  # the solver's stopping gap; also tells free multipliers from bounded ones
     if max_iter is None:
         max_iter = 10 * n * n
     beta, v, up, low = smo.solve(_KernelColumns(kernel, Xn), yy, -np.ones(n), C, np.zeros(n),

@@ -298,6 +298,11 @@ def cmd_run(s: Settings) -> int:
     if len(labeled.wells) < 2:
         raise InvalidConfig("need at least two wells for leave-one-well-out runs")
     classifiers = [c.strip() for c in s.classifiers.split(",") if c.strip()]
+    test_wells = (list(labeled.wells) if s.test_wells.upper() == "ALL"
+                  else [w.strip() for w in s.test_wells.split(",") if w.strip()])
+    for names in (classifiers, test_wells):
+        if len(set(names)) < len(names):
+            raise InvalidConfig(f"a name repeats in {', '.join(names)}")
     for name in classifiers:
         if name not in _KNOWN_CLASSIFIERS:
             raise InvalidConfig(f"unknown classifier {name!r}; known: {', '.join(_KNOWN_CLASSIFIERS)}")
@@ -310,10 +315,6 @@ def cmd_run(s: Settings) -> int:
     labeled.feature_names = [fw.feature_names[i] for i in top]
     print(f"features: {', '.join(labeled.feature_names)}")
 
-    if s.test_wells.upper() == "ALL":
-        test_wells = list(labeled.wells)
-    else:
-        test_wells = [w.strip() for w in s.test_wells.split(",") if w.strip()]
     records, failed = run_blind_tests(labeled, _kernel_of(s), s.cost, classifiers,
                                       test_wells, s.csvm_cost, s.max_passes, out)
     report = compare_report(records)

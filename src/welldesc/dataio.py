@@ -100,27 +100,14 @@ class NormStats:
         return NormStats(np.zeros(d), np.ones(d))
 
 
-def _parse_cell(text: str, line: int, column: str) -> float:
-    text = text.strip().replace("−", "-")
-    if text == "":
-        return math.nan
-    try:
-        value = float(text)
-    except ValueError:
-        raise NonNumericCell(line, column, text) from None
-    if value == SENTINEL or math.isnan(value):
-        return math.nan
-    return value
-
-
 def _parse_column(cells) -> tuple:
     """Floats of one column and the index of its first unparsable cell.
 
     The index is len(cells) when every cell parses. Blank cells, the null
     sentinel and NaN text become NaN. One C-level float() pass reads a clean
-    column; only a column where it raised goes cell by cell, the way
-    _parse_cell does, and stops at the first bad cell: the cells after it stay
-    NaN, since that row or an earlier one is the one reported.
+    column; only a column where it raised goes cell by cell, stripped and
+    with U+2212 read as a minus sign, and stops at the first bad cell: the
+    cells after it stay NaN, since that row or an earlier one is reported.
     """
     n = len(cells)
     bad = n
@@ -161,16 +148,19 @@ def _file_line(path, record: int) -> int:
 def _raise_row_fault(path, record: int, row: list, col: dict, feature_names: list, target_name: str):
     """Raise the first fault of a row known to have one, in the per-row check order.
 
-    A row whose depth and feature cells all parse, and whose depth is a
-    number, is faulty only through its target, which then lies outside [0, 1].
+    Each cell goes through _parse_column alone. A row whose cells all parse,
+    and whose depth is a number, is faulty only through its target, which
+    then lies outside [0, 1].
     """
     line_no = _file_line(path, record)
-    if math.isnan(_parse_cell(row[col["depth"]], line_no, "depth")):
-        raise NonNumericCell(line_no, "depth", row[col["depth"]])
-    for f in feature_names:
-        _parse_cell(row[col[f]], line_no, f)
-    tv = _parse_cell(row[col[target_name]], line_no, target_name)
-    raise MalformedFile(f"{path}: line {line_no}: target {tv} outside [0, 1]")
+    for name in ("depth", *feature_names, target_name):
+        text = row[col[name]]
+        (value,), bad = _parse_column([text])
+        if bad == 0:
+            raise NonNumericCell(line_no, name, text.strip().replace("−", "-"))
+        if name == "depth" and math.isnan(value):
+            raise NonNumericCell(line_no, "depth", text)
+    raise MalformedFile(f"{path}: line {line_no}: target {value} outside [0, 1]")
 
 
 def _parse_chunk(path, rows: list, records: np.ndarray, width: int, col: dict,
@@ -450,6 +440,8 @@ def gen_synthetic(cfg: SynthConfig) -> WellTable:
         raise InvalidConfig(f"skew must lie in (0, 1), got {cfg.skew}")
     if cfg.n_features < 2:
         raise InvalidConfig("need at least two features")
+    if cfg.seed < 0:
+        raise InvalidConfig(f"seed must be non-negative, got {cfg.seed}")
 
     rng = np.random.default_rng(cfg.seed)
     d = cfg.n_features

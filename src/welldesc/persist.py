@@ -1,10 +1,16 @@
 """Versioned plain-text model files.
 
-One model per file. Line 1 is a format tag (SVDD-MODEL v1, GNB-MODEL v1,
-LDA-MODEL v1, SVM-MODEL v1); the rest are key=value lines. Floats print with
-17 significant digits, so a load reproduces the saved doubles bit for bit and
-predictions survive a round trip exactly.
+One model per file: a format tag, then key=value lines of comma-separated
+numbers at 17 significant digits, so a load reproduces the saved doubles bit
+for bit. _FORMATS, keyed by model type, is the one table of formats: the tag
+(SVDD-MODEL v1, SVM-MODEL v1, GNB-MODEL v1, LDA-MODEL v1), whether a kernel
+line (KernelSpec.describe()) follows it, and the functions that dump the
+model's lines in file order and load it back. Scalars and vectors take a line
+each (C=, norm_mean=, ...), stored vectors one line apiece (alpha= x=,
+beta= y= x=, cov=); _rows reads both kinds and checks every vector's width.
 """
+
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -14,194 +20,163 @@ from .dataio import NormStats
 from .errors import MalformedFile
 from .kernels import KernelSpec, gram
 
-_SVDD_TAG = "SVDD-MODEL v1"
-_GNB_TAG = "GNB-MODEL v1"
-_LDA_TAG = "LDA-MODEL v1"
-_SVM_TAG = "SVM-MODEL v1"
+
+def _fmt(value) -> str:
+    """A number, or a vector's numbers comma-separated, at 17 significant digits."""
+    values = [value] if isinstance(value, float) else np.asarray(value, dtype=float).ravel().tolist()
+    return ",".join(f"{v:.17g}" for v in values)
 
 
-def _fmt(v: float) -> str:
-    return f"{float(v):.17g}"
+def _fields(body, path) -> dict:
+    """The body's lines grouped by their first key, each as (keys, value texts)."""
+    fields = {}
+    for line in body:
+        keys, eqs, values = zip(*(tok.partition("=") for tok in line.split()))
+        if not all(eqs):
+            raise MalformedFile(f"{path}: expected key=value tokens, got {line!r}")
+        fields.setdefault(keys[0], []).append((keys, values))
+    return fields
 
 
-def _fmt_vec(arr) -> str:
-    return ",".join(_fmt(v) for v in np.asarray(arr, dtype=float).ravel())
+def _rows(fields, keys: tuple, path, width: int | None = None, count: int | None = None) -> list:
+    """Columns of the lines `keys[0]=.. keys[1]=.. ...`, one float array per key.
 
-
-def _parse_vec(text: str) -> np.ndarray:
+    Every line that starts with keys[0] must hold exactly these keys, in order.
+    Each key but the last holds one number a line, returned as a 1-d array;
+    the last holds `width` comma-separated numbers (the first line's count
+    when None), returned as a (lines, width) matrix. count, when given, is the
+    number of lines needed. Each column is parsed in one pass.
+    """
+    lines = fields.get(keys[0], [])
+    if count is not None and len(lines) != count:
+        raise MalformedFile(f"{path}: expected {count} {keys[0]!r} line(s), found {len(lines)}")
+    texts = list(zip(*(values for _, values in lines))) or [()] * len(keys)
+    if width is None:
+        width = texts[-1][0].count(",") + 1 if lines else 0
+    sizes = (1,) * (len(keys) - 1) + (width,)
+    counts = [{t.count(",") + 1 for t in col} for col in texts]  # numbers per value, per key
+    if any(k != keys for k, _ in lines) or any(c - {n} for c, n in zip(counts, sizes)):
+        raise MalformedFile(f"{path}: {keys[0]!r} lines must hold keys {keys} of {sizes} numbers")
     try:
-        return np.array([float(tok) for tok in text.split(",")], dtype=float)
+        numbers = [list(map(float, ",".join(col).split(","))) if col else [] for col in texts]
     except ValueError as exc:
-        raise MalformedFile(f"bad numeric list {text!r}") from exc
+        raise MalformedFile(f"{path}: {keys[0]!r} lines: {exc}") from exc
+    columns = [np.array(v, dtype=float).reshape(len(lines), n) for v, n in zip(numbers, sizes)]
+    return [c.ravel() for c in columns[:-1]] + columns[-1:]
+
+
+def _one(fields, key: str, path, width: int | None = None) -> np.ndarray:
+    return _rows(fields, (key,), path, width, count=1)[0][0]
+
+
+def _scalar(fields, key: str, path) -> float:
+    return float(_one(fields, key, path, 1)[0])
+
+
+def _norm_lines(stats: NormStats) -> list:
+    return [f"norm_mean={_fmt(stats.mean)}", f"norm_std={_fmt(stats.std)}"]
+
+
+def _norm_stats(fields, path) -> NormStats:
+    mean = _one(fields, "norm_mean", path)
+    return NormStats(mean=mean, std=_one(fields, "norm_std", path, mean.size))
+
+
+def _by_class(fields, stem: str, path, d: int) -> np.ndarray:
+    """Rows LOW, HIGH of the `{stem}_low` and `{stem}_high` lines."""
+    return np.vstack([_one(fields, f"{stem}_low", path, d), _one(fields, f"{stem}_high", path, d)])
+
+
+def _dump_svdd(m) -> list:
+    return [f"C={_fmt(m.C)}", f"r2={_fmt(m.r2)}", *_norm_lines(m.norm_stats),
+            *(f"alpha={_fmt(a)} x={_fmt(x)}" for a, x in zip(m.alphas, m.X_train))]
+
+
+def _load_svdd(fields, kernel, path) -> _svdd.SvddModel:
+    stats = _norm_stats(fields, path)
+    alphas, X = _rows(fields, ("alpha", "x"), path, stats.mean.size)
+    if not alphas.size:
+        raise MalformedFile(f"{path}: no stored vectors")
+    C, r2 = _scalar(fields, "C", path), _scalar(fields, "r2", path)
+    return _svdd.SvddModel(X, alphas, kernel, C, r2, _svdd._self_term(gram(kernel, X), alphas), stats)
+
+
+def _dump_svm(m) -> list:
+    return [f"C_svm={_fmt(m.C_svm)}", f"bias={_fmt(m.bias)}", *_norm_lines(m.norm_stats),
+            *(f"beta={_fmt(b)} y={_fmt(y)} x={_fmt(x)}" for b, y, x in zip(m.betas, m.labels, m.X_sv))]
+
+
+def _load_svm(fields, kernel, path) -> SvmModel:
+    stats = _norm_stats(fields, path)
+    betas, labels, X_sv = _rows(fields, ("beta", "y", "x"), path, stats.mean.size)
+    return SvmModel(kernel, _scalar(fields, "C_svm", path), betas, labels, X_sv,
+                    _scalar(fields, "bias", path), stats)
+
+
+def _dump_gnb(m) -> list:
+    return [f"priors={_fmt(m.priors)}",
+            f"mean_low={_fmt(m.means[0])}", f"var_low={_fmt(m.variances[0])}",
+            f"mean_high={_fmt(m.means[1])}", f"var_high={_fmt(m.variances[1])}",
+            *_norm_lines(m.norm_stats)]
+
+
+def _load_gnb(fields, kernel, path) -> GnbModel:
+    stats = _norm_stats(fields, path)
+    means, variances = (_by_class(fields, stem, path, stats.mean.size) for stem in ("mean", "var"))
+    return GnbModel(_one(fields, "priors", path, 2), means, variances, stats)
+
+
+def _dump_lda(m) -> list:
+    return [f"priors={_fmt(m.priors)}",
+            f"mean_low={_fmt(m.means[0])}", f"mean_high={_fmt(m.means[1])}",
+            *_norm_lines(m.norm_stats), *(f"cov={_fmt(row)}" for row in m.cov)]
+
+
+def _load_lda(fields, kernel, path) -> LdaModel:
+    stats = _norm_stats(fields, path)
+    d = stats.mean.size
+    priors, means = _one(fields, "priors", path, 2), _by_class(fields, "mean", path, d)
+    (cov,) = _rows(fields, ("cov",), path, d, count=d)
+    return LdaModel(priors, means, cov, *_lda_discriminant(cov, means, priors), stats)
+
+
+class _Format(NamedTuple):
+    tag: str
+    kernel: bool        # the body starts with KernelSpec.describe()
+    dump: Callable      # model -> body lines after the kernel line
+    load: Callable      # (fields, kernel or None, path) -> model
+
+
+_FORMATS = {
+    _svdd.SvddModel: _Format("SVDD-MODEL v1", True, _dump_svdd, _load_svdd),
+    SvmModel: _Format("SVM-MODEL v1", True, _dump_svm, _load_svm),
+    GnbModel: _Format("GNB-MODEL v1", False, _dump_gnb, _load_gnb),
+    LdaModel: _Format("LDA-MODEL v1", False, _dump_lda, _load_lda),
+}
+_BY_TAG = {fmt.tag: fmt for fmt in _FORMATS.values()}
 
 
 def save_model(model, path) -> None:
-    if isinstance(model, _svdd.SvddModel):
-        lines = [_SVDD_TAG, model.kernel.describe(),
-                 f"C={_fmt(model.C)}", f"r2={_fmt(model.r2)}",
-                 f"norm_mean={_fmt_vec(model.norm_stats.mean)}",
-                 f"norm_std={_fmt_vec(model.norm_stats.std)}"]
-        lines += [f"alpha={_fmt(a)} x={_fmt_vec(x)}"
-                  for a, x in zip(model.alphas, model.X_train)]
-    elif isinstance(model, GnbModel):
-        lines = [_GNB_TAG,
-                 f"priors={_fmt_vec(model.priors)}",
-                 f"mean_low={_fmt_vec(model.means[0])}",
-                 f"var_low={_fmt_vec(model.variances[0])}",
-                 f"mean_high={_fmt_vec(model.means[1])}",
-                 f"var_high={_fmt_vec(model.variances[1])}",
-                 f"norm_mean={_fmt_vec(model.norm_stats.mean)}",
-                 f"norm_std={_fmt_vec(model.norm_stats.std)}"]
-    elif isinstance(model, LdaModel):
-        lines = [_LDA_TAG,
-                 f"priors={_fmt_vec(model.priors)}",
-                 f"mean_low={_fmt_vec(model.means[0])}",
-                 f"mean_high={_fmt_vec(model.means[1])}",
-                 f"norm_mean={_fmt_vec(model.norm_stats.mean)}",
-                 f"norm_std={_fmt_vec(model.norm_stats.std)}"]
-        lines += [f"cov={_fmt_vec(row)}" for row in model.cov]
-    elif isinstance(model, SvmModel):
-        lines = [_SVM_TAG, model.kernel.describe(),
-                 f"C_svm={_fmt(model.C_svm)}", f"bias={_fmt(model.bias)}",
-                 f"norm_mean={_fmt_vec(model.norm_stats.mean)}",
-                 f"norm_std={_fmt_vec(model.norm_stats.std)}"]
-        lines += [f"beta={_fmt(b)} y={_fmt(y)} x={_fmt_vec(x)}"
-                  for b, y, x in zip(model.betas, model.labels, model.X_sv)]
-    else:
+    fmt = _FORMATS.get(type(model))
+    if fmt is None:
         raise TypeError(f"cannot persist {type(model).__name__}")
+    lines = [fmt.tag, *([model.kernel.describe()] if fmt.kernel else []), *fmt.dump(model)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def _split_fields(line: str, path) -> dict:
-    fields = {}
-    for token in line.split():
-        if "=" not in token:
-            raise MalformedFile(f"{path}: bad token {token!r}")
-        key, _, value = token.partition("=")
-        fields[key] = value
-    return fields
-
-
-def _take(fields: dict, key: str, path):
-    if key not in fields:
-        raise MalformedFile(f"{path}: missing field {key!r}")
-    return fields.pop(key)
-
-
 def load_model(path):
-    """Read any saved model; the first line picks the format."""
+    """Read any saved model; the tag on the first line picks the format."""
     with open(path, encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines:
         raise MalformedFile(f"{path}: empty model file")
-    tag, body = lines[0].strip(), lines[1:]
-    if tag == _SVDD_TAG:
-        return _load_svdd(body, path)
-    if tag == _GNB_TAG:
-        return _load_gnb(body, path)
-    if tag == _LDA_TAG:
-        return _load_lda(body, path)
-    if tag == _SVM_TAG:
-        return _load_svm(body, path)
-    raise MalformedFile(f"{path}: unknown model tag {tag!r}")
-
-
-def _scalar_lines(body, path) -> dict:
-    fields = {}
-    for line in body:
-        key, _, value = line.partition("=")
-        if not _:
-            raise MalformedFile(f"{path}: expected key=value, got {line!r}")
-        fields.setdefault(key, []).append(value)
-    return fields
-
-
-def _one(fields, key, path) -> str:
-    if key not in fields or len(fields[key]) != 1:
-        raise MalformedFile(f"{path}: need exactly one {key!r} line")
-    return fields[key][0]
-
-
-def _load_svdd(body, path) -> _svdd.SvddModel:
-    if not body:
-        raise MalformedFile(f"{path}: truncated model")
-    kernel = KernelSpec.parse(body[0])
-    fields = _scalar_lines([ln for ln in body[1:] if not ln.startswith("alpha=")], path)
-    C = float(_one(fields, "C", path))
-    r2 = float(_one(fields, "r2", path))
-    stats = NormStats(mean=_parse_vec(_one(fields, "norm_mean", path)),
-                      std=_parse_vec(_one(fields, "norm_std", path)))
-    alphas, vectors = [], []
-    for line in body[1:]:
-        if not line.startswith("alpha="):
-            continue
-        parts = _split_fields(line, path)
-        alphas.append(float(_take(parts, "alpha", path)))
-        vectors.append(_parse_vec(_take(parts, "x", path)))
-    if not vectors:
-        raise MalformedFile(f"{path}: no stored vectors")
-    X = np.vstack(vectors)
-    alphas = np.array(alphas)
-    G = gram(kernel, X)
-    cfg_defaults = _svdd.SvddTrainConfig(kernel=kernel)
-    return _svdd.SvddModel(
-        X_train=X, alphas=alphas, kernel=kernel, C=C, r2=r2,
-        self_term=_svdd._self_term(G, alphas), norm_stats=stats,
-        kkt_tol=cfg_defaults.kkt_tol, boundary_tol=cfg_defaults.boundary_tol,
-    )
-
-
-def _load_gnb(body, path) -> GnbModel:
-    fields = _scalar_lines(body, path)
-    return GnbModel(
-        priors=_parse_vec(_one(fields, "priors", path)),
-        means=np.vstack([_parse_vec(_one(fields, "mean_low", path)),
-                         _parse_vec(_one(fields, "mean_high", path))]),
-        variances=np.vstack([_parse_vec(_one(fields, "var_low", path)),
-                             _parse_vec(_one(fields, "var_high", path))]),
-        norm_stats=NormStats(mean=_parse_vec(_one(fields, "norm_mean", path)),
-                             std=_parse_vec(_one(fields, "norm_std", path))),
-    )
-
-
-def _load_lda(body, path) -> LdaModel:
-    fields = _scalar_lines(body, path)
-    priors = _parse_vec(_one(fields, "priors", path))
-    means = np.vstack([_parse_vec(_one(fields, "mean_low", path)),
-                       _parse_vec(_one(fields, "mean_high", path))])
-    if "cov" not in fields or len(fields["cov"]) != means.shape[1]:
-        raise MalformedFile(f"{path}: expected {means.shape[1]} cov rows")
-    cov = np.vstack([_parse_vec(row) for row in fields["cov"]])
-    coefs, intercepts = _lda_discriminant(cov, means, priors)
-    return LdaModel(
-        priors=priors, means=means, cov=cov, coefs=coefs, intercepts=intercepts,
-        norm_stats=NormStats(mean=_parse_vec(_one(fields, "norm_mean", path)),
-                             std=_parse_vec(_one(fields, "norm_std", path))),
-    )
-
-
-def _load_svm(body, path) -> SvmModel:
-    if not body:
-        raise MalformedFile(f"{path}: truncated model")
-    kernel = KernelSpec.parse(body[0])
-    fields = _scalar_lines([ln for ln in body[1:] if not ln.startswith("beta=")], path)
-    betas, labels, vectors = [], [], []
-    for line in body[1:]:
-        if not line.startswith("beta="):
-            continue
-        parts = _split_fields(line, path)
-        betas.append(float(_take(parts, "beta", path)))
-        labels.append(float(_take(parts, "y", path)))
-        vectors.append(_parse_vec(_take(parts, "x", path)))
-    d = vectors[0].size if vectors else _parse_vec(_one(fields, "norm_mean", path)).size
-    return SvmModel(
-        kernel=kernel,
-        C_svm=float(_one(fields, "C_svm", path)),
-        betas=np.array(betas),
-        labels=np.array(labels),
-        X_sv=np.vstack(vectors) if vectors else np.empty((0, d)),
-        bias=float(_one(fields, "bias", path)),
-        norm_stats=NormStats(mean=_parse_vec(_one(fields, "norm_mean", path)),
-                             std=_parse_vec(_one(fields, "norm_std", path))),
-    )
+    tag, body, kernel = lines[0].strip(), lines[1:], None
+    fmt = _BY_TAG.get(tag)
+    if fmt is None:
+        raise MalformedFile(f"{path}: unknown model tag {tag!r}")
+    if fmt.kernel:
+        if not body:
+            raise MalformedFile(f"{path}: truncated model")
+        kernel, body = KernelSpec.parse(body[0]), body[1:]
+    return fmt.load(_fields(body, path), kernel, path)

@@ -64,6 +64,14 @@ def test_synth_invalid_skew(tmp_path):
     assert "error:" in r.stderr
 
 
+def test_synth_negative_seed_exits_two(tmp_path):
+    r = cli("synth", "--seed", "-1", *SMALL_SYNTH, "--out", ".", cwd=tmp_path)
+    assert r.returncode == 2
+    assert "error:" in r.stderr and "seed" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not (tmp_path / "synthetic.csv").exists()
+
+
 # ------------------------------------------------------------------ prepare
 
 def test_prepare_preserves_clean_rows_and_reports_balance(tmp_path):
@@ -186,6 +194,20 @@ def test_run_unknown_classifier(tmp_path):
 def test_run_unknown_test_well(tmp_path):
     r = run_small(tmp_path, "--test-wells", "Z")
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize("extra", [
+    ["--classifiers", "svdd,svdd"],
+    ["--classifiers", "svdd, gnb,svdd"],
+    ["--test-wells", "A,A"],
+    ["--classifiers", "svdd,svdd", "--test-wells", "A,A"],
+], ids=["classifier", "classifier-spaced", "well", "both"])
+def test_run_repeated_name_rejected(tmp_path, extra):
+    """A repeated name would write duplicate report rows that weight the average."""
+    r = run_small(tmp_path, *extra)
+    assert r.returncode == 2
+    assert "error:" in r.stderr and "Traceback" not in r.stderr
+    assert not (tmp_path / "report.csv").exists()
 
 
 def test_run_relief_k_too_large(tmp_path):

@@ -55,15 +55,51 @@ def test_svdd_file_round_trip_is_exact(tmp_path):
         assert radius2_of(back, q) == radius2_of(m, q)
 
 
-def test_svdd_file_format_shape(tmp_path):
-    m = train(np.array([[0.0, 0.0], [1.0, 0.0]]), SvddTrainConfig(kernel=WIDE, C=1.0))
+# Line keys of each format in file order; "*" marks a line repeated once per
+# stored vector (SVDD, SVM) or per covariance row (LDA).
+_FORMAT_KEYS = {
+    "svdd": ["SVDD-MODEL", "kernel width", "C", "r2", "norm_mean", "norm_std", "*alpha x"],
+    "svm": ["SVM-MODEL", "kernel width", "C_svm", "bias", "norm_mean", "norm_std", "*beta y x"],
+    "gnb": ["GNB-MODEL", "priors", "mean_low", "var_low", "mean_high", "var_high",
+            "norm_mean", "norm_std"],
+    "lda": ["LDA-MODEL", "priors", "mean_low", "mean_high", "norm_mean", "norm_std", "*cov"],
+}
+
+
+def _fitted(kind):
+    rng = np.random.default_rng(76)
+    X, y = _two_class_data(rng, n=20, d=2)
+    stats = NormStats(mean=X.mean(axis=0), std=X.std(axis=0))
+    if kind == "svdd":
+        return train(X[:10], SvddTrainConfig(kernel=WIDE, C=0.5), stats), 10
+    if kind == "svm":
+        m = train_csvm(X, y, WIDE, 1.0, norm_stats=stats)
+        return m, len(m.betas)
+    if kind == "gnb":
+        return train_gnb(X, y, stats), 0
+    return train_lda(X, y, stats), 2
+
+
+@pytest.mark.parametrize("kind", sorted(_FORMAT_KEYS))
+def test_file_format_shape(tmp_path, kind):
+    """Pins the byte layout: the tag, the kernel line and every line's keys in file order."""
+    m, repeats = _fitted(kind)
     path = tmp_path / "m.txt"
     save_model(m, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "SVDD-MODEL v1"
-    assert lines[1] == "kernel=gaussian width=2.0"
-    assert lines[2].startswith("C=") and lines[3].startswith("r2=")
-    assert sum(ln.startswith("alpha=") for ln in lines) == 2
+    text = path.read_text(encoding="utf-8")
+    assert text.endswith("\n") and "\n\n" not in text
+    lines = text[:-1].split("\n")
+    assert lines[0] == f"{_FORMAT_KEYS[kind][0]} v1"
+    want = []
+    for keys in _FORMAT_KEYS[kind][1:]:
+        want += [keys[1:]] * repeats if keys.startswith("*") else [keys]
+    assert [" ".join(tok.partition("=")[0] for tok in ln.split(" ")) for ln in lines[1:]] == want
+    if kind in ("svdd", "svm"):
+        assert lines[1] == "kernel=gaussian width=2.0"
+    if kind == "svdd":
+        assert lines[2] == "C=0.5"
+    if kind == "lda":
+        assert lines[-2:] == [f"cov={','.join(f'{v:.17g}' for v in row)}" for row in m.cov]
 
 
 def test_gnb_round_trip(tmp_path):
@@ -153,4 +189,39 @@ def test_truncated_svdd_file_rejected(tmp_path):
     path = tmp_path / "trunc.txt"
     path.write_text("SVDD-MODEL v1\nkernel=gaussian width=2.0\nC=0.5\n", encoding="utf-8")
     with pytest.raises(MalformedFile):
+        load_model(path)
+
+
+def _swap_first(text, prefix, new_line):
+    lines = text.split("\n")
+    i = next(i for i, ln in enumerate(lines) if ln.startswith(prefix))
+    return "\n".join(lines[:i] + [new_line] + lines[i + 1:])
+
+
+def _widen(text):
+    return text.replace(" x=", " x=0,")
+
+
+# (model, edit of the saved text, key the error names). Each vector must have
+# the model's width, so a bad file fails at load rather than in predict.
+_MALFORMED = {
+    "svdd-one-vector-too-wide": ("svdd", lambda t: _swap_first(t, "alpha=", "alpha=0.1 x=1,2,3"), "alpha"),
+    "svdd-vectors-wider-than-norm": ("svdd", _widen, "alpha"),
+    "svm-vectors-wider-than-norm": ("svm", _widen, "beta"),
+    "svm-line-missing-a-key": ("svm", lambda t: _swap_first(t, "beta=", "beta=0.5 x=0,0"), "beta"),
+    "lda-cov-row-too-wide": ("lda", lambda t: _swap_first(t, "cov=", "cov=1,0,0"), "cov"),
+    "lda-cov-row-too-narrow": ("lda", lambda t: _swap_first(t, "cov=", "cov=1"), "cov"),
+    "lda-cov-row-missing": ("lda", lambda t: _swap_first(t, "cov=", ""), "cov"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED))
+def test_malformed_vector_lines_rejected(tmp_path, case):
+    kind, edit, key = _MALFORMED[case]
+    m, repeats = _fitted(kind)
+    assert repeats > 0
+    path = tmp_path / "m.txt"
+    save_model(m, path)
+    path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+    with pytest.raises(MalformedFile, match=key):
         load_model(path)
