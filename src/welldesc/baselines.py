@@ -140,13 +140,14 @@ class _KernelColumns:
     computed again if it is asked for again (the kernel cache of SVMlight
     and LIBSVM). dot(z) adds the columns of the nonzero z_i in index order,
     reading the cached ones and computing the others without keeping them,
-    so a refresh leaves the cache and its order as they were.
+    so a refresh leaves the cache and its order as they were. The sample is
+    kept in Fortran order, so each column reads it feature-major.
     """
 
     def __init__(self, kernel: KernelSpec, Xn: np.ndarray):
         self.kernel = kernel
-        self.Xn = Xn
-        self.diag = kernel_diag(kernel, Xn)
+        self.Xn = np.asfortranarray(Xn)
+        self.diag = kernel_diag(kernel, self.Xn)
         self.room = max(1, _CACHE_BYTES // (8 * Xn.shape[0]))
         self.cache = OrderedDict()
 
@@ -214,13 +215,14 @@ def _margins(m: SvmModel, X) -> np.ndarray:
     """Signed margin of every row of a raw-space query block.
 
     Each support vector adds its weighted kernel values into one accumulator
-    over the whole block; with no support vectors every margin is the bias.
+    over the whole block, read feature-major from a Fortran-ordered copy;
+    with no support vectors every margin is the bias.
     """
     X = np.asarray(X, dtype=float)
     d = m.X_sv.shape[1]
     if X.ndim != 2 or X.shape[1] != d:
         raise DimensionMismatch(f"expected a 2-d query matrix of {d} features, got shape {X.shape}")
-    Xn = normalize_apply(m.norm_stats, X)
+    Xn = np.asfortranarray(normalize_apply(m.norm_stats, X))
     acc = np.zeros(Xn.shape[0])
     for w, sv in zip(m.betas * m.labels, m.X_sv):
         acc += w * kernel_row(m.kernel, sv, Xn)

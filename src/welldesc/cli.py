@@ -41,6 +41,7 @@ from .errors import (
     NoMinorityTrainingData,
     NonConvergence,
     UndefinedClassAccuracy,
+    UnknownWell,
     WelldescError,
 )
 from .evaluation import RunRecord, compare_report, confusion, g_mean, sensitivity, specificity, timed
@@ -303,6 +304,9 @@ def cmd_run(s: Settings) -> int:
     for names in (classifiers, test_wells):
         if len(set(names)) < len(names):
             raise InvalidConfig(f"a name repeats in {', '.join(names)}")
+    for well in test_wells:
+        if well not in labeled.wells:
+            raise UnknownWell(f"unknown well {well!r}; have {labeled.wells}")
     for name in classifiers:
         if name not in _KNOWN_CLASSIFIERS:
             raise InvalidConfig(f"unknown classifier {name!r}; known: {', '.join(_KNOWN_CLASSIFIERS)}")

@@ -4,6 +4,16 @@ Three families:
     gaussian    exp(-||x - y||^2 / s^2)
     erbf        exp(-||x - y|| / s)
     polynomial  (x . y + c)^p
+
+Every value is computed on feature-major operands: the sample is read as
+d rows of n values, one per feature, so each numpy call runs along the
+samples, not along the few features of one sample. The d per-feature terms
+are added left to right from zero, so a kernel value does not depend on the
+memory layout of its inputs nor on which call computed it. For d < 8 this
+is the order np.sum(..., axis=-1) uses on a row; for d >= 8 numpy sums a
+row pairwise, so values may differ from that expression in the last bit.
+Callers that evaluate many rows of one sample pass it in Fortran order
+(np.asfortranarray), which makes the feature-major view contiguous.
 """
 
 from dataclasses import dataclass
@@ -11,6 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidConfig, MalformedFile
+
+# Entries of one Gram block's (d, rows, n) temporary: 256 KB of float64,
+# however many rows and features the sample has.
+_BLOCK_ENTRIES = 32768
 
 GAUSSIAN = "gaussian"
 POLYNOMIAL = "polynomial"
@@ -74,17 +88,29 @@ class KernelSpec:
         return spec
 
 
-def _rows_core(spec: KernelSpec, x: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    # One point against each row of Y, or row-wise pairs when x and Y have
-    # the same shape. Every family works elementwise and reduces along the
-    # last axis with the same numpy machinery, so a 1-row call and a row
-    # inside a larger block produce bit-identical values. Batched scoring
-    # relies on this: kernel_row(spec, sv, Xq) evaluates a stored vector
-    # against a whole query block and must match, value for value, the
-    # per-query call kernel_row(spec, xq, X_sv).
+def _feature_sum(T: np.ndarray) -> np.ndarray:
+    """T[0] + T[1] + ... added left to right from zero; zeros when d = 0."""
+    out = np.zeros(T.shape[1:])
+    for t in T:
+        out += t
+    return out
+
+
+def _rows_core(spec: KernelSpec, xT: np.ndarray, YT: np.ndarray) -> np.ndarray:
+    # Kernel values of feature-major operands: xT and YT are (d, ...) and
+    # broadcast against each other over the trailing axes, so one point
+    # (d, 1) against a sample (d, n), row-wise pairs (d, n) and (d, n), or a
+    # block (d, r, 1) against (d, 1, n) all run through here. Each value
+    # sums its own d per-feature terms, left to right from zero, whatever
+    # the shape, strides or block around it. Batched scoring relies on
+    # this: kernel_row(spec, sv, Xq) evaluates a stored vector against a
+    # whole query block and must match, value for value, the per-query call
+    # kernel_row(spec, xq, X_sv). The Gram is exactly symmetric because
+    # (a - b)^2 == (b - a)^2 and a * b == b * a in floating point.
     if spec.family == POLYNOMIAL:
-        return (np.sum(Y * x, axis=-1) + spec.offset) ** spec.degree
-    d2 = np.sum(np.square(Y - x), axis=-1)
+        return (_feature_sum(YT * xT) + spec.offset) ** spec.degree
+    D = YT - xT
+    d2 = _feature_sum(np.square(D, out=D))
     if spec.family == GAUSSIAN:
         return np.exp(-d2 / (spec.width * spec.width))
     return np.exp(-np.sqrt(d2) / spec.width)
@@ -97,17 +123,20 @@ def eval_kernel(spec: KernelSpec, x, y) -> float:
     if x.ndim != 1 or x.shape != y.shape:
         raise DimensionMismatch(
             f"kernel arguments need matching 1-d shapes, got {x.shape} and {y.shape}")
-    return float(_rows_core(spec, x, y[np.newaxis, :])[0])
+    return float(_rows_core(spec, x[:, np.newaxis], y[:, np.newaxis])[0])
 
 
 def kernel_row(spec: KernelSpec, x, Y) -> np.ndarray:
-    """Kernel values of one point against every row of Y."""
+    """Kernel values of one point against every row of Y.
+
+    Y is (n, d) in any layout; a Fortran-ordered Y is read contiguously.
+    """
     x = np.asarray(x, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if x.ndim != 1 or Y.ndim != 2 or Y.shape[1] != x.shape[0]:
         raise DimensionMismatch(
             f"expected (d,) and (n, d) arguments, got {x.shape} and {Y.shape}")
-    return _rows_core(spec, x, Y)
+    return _rows_core(spec, x[:, np.newaxis], Y.T)
 
 
 def kernel_diag(spec: KernelSpec, X) -> np.ndarray:
@@ -115,21 +144,24 @@ def kernel_diag(spec: KernelSpec, X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise DimensionMismatch(f"expected a 2-d sample matrix, got shape {X.shape}")
-    return _rows_core(spec, X, X)
+    return _rows_core(spec, X.T, X.T)
 
 
 def gram(spec: KernelSpec, X) -> np.ndarray:
     """Symmetric kernel matrix of the rows of X.
 
-    Each pair is evaluated once and mirrored, so G is exactly symmetric.
+    Built in blocks of rows, each one broadcast of its rows against every
+    row through a temporary of at most _BLOCK_ENTRIES entries (more only
+    when a single row needs them). Both triangles are computed, and G is
+    exactly symmetric; column i equals kernel_row(spec, X[i], X) bit for bit.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise DimensionMismatch(f"expected a 2-d sample matrix, got shape {X.shape}")
     n = X.shape[0]
+    XT = np.ascontiguousarray(X.T)
     G = np.empty((n, n))
-    for i in range(n):
-        row = _rows_core(spec, X[i], X[i:])
-        G[i, i:] = row
-        G[i:, i] = row
+    rows = max(1, _BLOCK_ENTRIES // max(n * X.shape[1], 1))
+    for a in range(0, n, rows):
+        G[a:a + rows] = _rows_core(spec, XT[:, a:a + rows, np.newaxis], XT[:, np.newaxis, :])
     return G

@@ -108,6 +108,7 @@ def _nearest(Q, C, skip_self=False):
     screen's argmin, which then is the exact one.
     """
     m, d = C.shape
+    CT = np.ascontiguousarray(C.T)  # feature-major: each product streams along m
     cc = np.square(C).sum(axis=1)
     tol = 64 * (d + 2) * d * np.finfo(float).eps
     rows = max(1, _BLOCK_ENTRIES // m)
@@ -115,7 +116,7 @@ def _nearest(Q, C, skip_self=False):
     for a in range(0, len(Q), rows):
         q = Q[a:a + rows]
         r = np.arange(len(q))
-        s = _screen(q, C.T, cc)
+        s = _screen(q, CT, cc)
         if skip_self:
             s[r, a + r] = np.inf
         j = s.argmin(axis=1)

@@ -192,8 +192,12 @@ def test_run_unknown_classifier(tmp_path):
 
 
 def test_run_unknown_test_well(tmp_path):
+    """An unknown --test-wells name fails before Relief runs."""
     r = run_small(tmp_path, "--test-wells", "Z")
     assert r.returncode == 2
+    assert "unknown well 'Z'" in r.stderr and "Traceback" not in r.stderr
+    assert "features:" not in r.stdout
+    assert not (tmp_path / "report.csv").exists()
 
 
 @pytest.mark.parametrize("extra", [

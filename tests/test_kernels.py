@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from welldesc import KernelSpec, eval_kernel, gram, kernel_row
+from welldesc import kernels
 from welldesc.kernels import kernel_diag
 from welldesc.errors import DimensionMismatch, InvalidConfig, MalformedFile
 
@@ -189,3 +190,85 @@ def test_parse_rejects_garbage():
         KernelSpec.parse("kernel=unknown width=1.0")
     with pytest.raises(MalformedFile):
         KernelSpec.parse("no equals signs here")
+
+
+# -- layouts, zero widths and the blocked Gram --------------------------------
+
+_SPECS = (KernelSpec(width=1.3), KernelSpec(family="erbf", width=0.8),
+          KernelSpec(family="polynomial", degree=3, offset=1.0))
+
+
+def _row_major_values(spec, x, Y):
+    """The values np.sum(..., axis=-1) gives over C-ordered rows."""
+    Y = np.ascontiguousarray(Y)
+    if spec.family == "polynomial":
+        return (np.sum(Y * x, axis=-1) + spec.offset) ** spec.degree
+    d2 = np.sum(np.square(Y - x), axis=-1)
+    if spec.family == "gaussian":
+        return np.exp(-d2 / (spec.width * spec.width))
+    return np.exp(-np.sqrt(d2) / spec.width)
+
+
+def _layouts(rng, n, d):
+    """The same (n, d) values C-ordered, Fortran-ordered and as a strided view."""
+    big = rng.normal(size=(2 * n, 3 * d))
+    view = big[::2, 1::3]
+    return {"C": np.ascontiguousarray(view), "F": np.asfortranarray(view), "sliced": view}
+
+
+@pytest.mark.parametrize("d", [4, 9, 20])
+def test_values_do_not_depend_on_layout(d):
+    rng = np.random.default_rng(30 + d)
+    layouts = _layouts(rng, 25, d)
+    C = layouts["C"]
+    for spec in _SPECS:
+        G = gram(spec, C)
+        diag = kernel_diag(spec, C)
+        for name, X in layouts.items():
+            assert gram(spec, X).tobytes() == G.tobytes(), name
+            assert kernel_diag(spec, X).tobytes() == diag.tobytes(), name
+            for i in (0, 7, 24):
+                row = kernel_row(spec, C[i], C)
+                assert kernel_row(spec, X[i], X).tobytes() == row.tobytes(), name
+                assert kernel_row(spec, C[i], X).tobytes() == row.tobytes(), name
+                assert eval_kernel(spec, X[i], X[3]) == eval_kernel(spec, C[i], C[3]), name
+                if d < 8:
+                    # fewer than 8 terms: numpy's row sum is left to right too
+                    assert row.tobytes() == _row_major_values(spec, C[i], C).tobytes()
+
+
+@pytest.mark.parametrize("spec", _SPECS, ids=["gaussian", "erbf", "polynomial"])
+def test_zero_width_inputs_give_ones(spec):
+    """With no features every squared distance and dot product is 0, so the
+    default kernels are all 1; the polynomial's offset is 1 here."""
+    assert np.array_equal(kernel_row(spec, np.zeros(0), np.zeros((3, 0))), np.ones(3))
+    assert np.array_equal(kernel_diag(spec, np.zeros((3, 0))), np.ones(3))
+    assert np.array_equal(gram(spec, np.zeros((4, 0))), np.ones((4, 4)))
+    assert eval_kernel(spec, np.zeros(0), np.zeros(0)) == 1.0
+
+
+@pytest.mark.parametrize("d", [0, 3])
+def test_zero_rows_give_empty_results(d):
+    for spec in _SPECS:
+        assert kernel_row(spec, np.zeros(d), np.zeros((0, d))).shape == (0,)
+        assert kernel_diag(spec, np.zeros((0, d))).shape == (0,)
+        assert gram(spec, np.zeros((0, d))).shape == (0, 0)
+
+
+@pytest.mark.parametrize("budget, n, rows", [
+    (40, 7, 1), (40, 3, 3), (40, 4, 2), (40, 5, 2), (None, 60, 136), (None, 150, 54),
+], ids=["one-row-blocks", "one-block", "even-blocks", "ragged-blocks",
+        "default-one-block", "default-ragged"])
+def test_blocked_gram_is_kernel_row_columns(monkeypatch, budget, n, rows):
+    """Each Gram block is one broadcast of several rows against all of them;
+    every column must still be the kernel_row of its point, and G = G.T."""
+    if budget is not None:
+        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", budget)
+    assert max(1, kernels._BLOCK_ENTRIES // (n * 4)) == rows
+    rng = np.random.default_rng(n)
+    X = rng.normal(size=(n, 4))
+    for spec in _SPECS:
+        G = gram(spec, X)
+        assert G.tobytes() == np.ascontiguousarray(G.T).tobytes()
+        for i in range(n):
+            assert G[:, i].tobytes() == kernel_row(spec, X[i], X).tobytes()
