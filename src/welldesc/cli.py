@@ -3,11 +3,12 @@
 Settings resolve in three layers: built-in defaults, then a flat key=value
 config file (# starts a comment), then command-line flags.
 
-Exit codes: 0 ok, 2 bad configuration or input schema, a missing file, or
-any other WelldescError without a code of its own, 3 cleaning removed every
-row, 4 no minority rows left to train on, 5 a trainer failed to converge
-(the report is still written with NA cells). No toolkit error leaves as a
-traceback.
+Exit codes: 0 ok, 2 bad configuration or input schema, an input or config
+file that is not UTF-8, a file the system cannot open or make (an OSError:
+missing, a directory, an --out that names a file), or any other
+WelldescError without a code of its own, 3 cleaning removed every row, 4 no
+minority rows left to train on, 5 a trainer failed to converge (the report
+is still written with NA cells). No toolkit error leaves as a traceback.
 """
 
 import argparse
@@ -106,19 +107,23 @@ def _cast(key: str, raw: str):
 def read_config_file(path) -> dict:
     """Flat key=value settings; blank lines and # comments are skipped."""
     entries = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise InvalidConfig(f"{path}:{line_no}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.split(" #")[0].strip()
-            if key not in _CASTS:
-                raise InvalidConfig(f"{path}:{line_no}: unknown setting {key!r}")
-            entries[key] = _cast(key, value)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise MalformedFile(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise InvalidConfig(f"{path}:{line_no}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.split(" #")[0].strip()
+        if key not in _CASTS:
+            raise InvalidConfig(f"{path}:{line_no}: unknown setting {key!r}")
+        entries[key] = _cast(key, value)
     return entries
 
 
@@ -153,8 +158,11 @@ def _out_dir(s: Settings) -> Path:
 
 
 def _schema_from_header(path) -> list:
-    with open(path, newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh), None)
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            header = next(csv.reader(fh), None)
+    except UnicodeDecodeError as exc:
+        raise MalformedFile(f"{path}: not UTF-8 text ({exc.reason})") from exc
     if not header:
         raise MalformedFile(f"{path}: empty file")
     schema = [h.strip() for h in header if h.strip() not in ("well", "depth")]
@@ -391,7 +399,7 @@ def main(argv=None) -> int:
     except NoMinorityTrainingData as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (WelldescError, FileNotFoundError) as exc:
+    except (WelldescError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -167,8 +167,11 @@ def save_model(model, path) -> None:
 
 def load_model(path):
     """Read any saved model; the tag on the first line picks the format."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise MalformedFile(f"{path}: not UTF-8 text ({exc.reason})") from exc
     if not lines:
         raise MalformedFile(f"{path}: empty model file")
     tag, body, kernel = lines[0].strip(), lines[1:], None

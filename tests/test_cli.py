@@ -107,6 +107,41 @@ def test_prepare_missing_input_file(tmp_path):
     assert r.returncode == 2
 
 
+_TINY_TABLE = "well,depth,f1,f2,sw\nA,1,0.5,2.0,0.5\nA,2,0.6,2.1,0.9\nA,3,0.4,2.2,0.2\n"
+
+
+@pytest.mark.parametrize("command, setup, message", [
+    (["prepare", "--input", "latin1.csv"],
+     lambda d: (d / "latin1.csv").write_bytes(_TINY_TABLE.replace("A,", "Puits \xe9,").encode("latin-1")),
+     "latin1.csv: not UTF-8 text"),
+    (["run", "--config", "latin1.cfg"],
+     lambda d: (d / "latin1.cfg").write_bytes("# r\xe9glages\ncost=0.25\n".encode("latin-1")),
+     "latin1.cfg: not UTF-8 text"),
+    (["prepare", "--input", "folder"], lambda d: (d / "folder").mkdir(), "Is a directory"),
+    (["synth", *SMALL_SYNTH, "--out", "taken"], lambda d: (d / "taken").write_text(""), "File exists"),
+], ids=["input-not-utf8", "config-not-utf8", "input-is-directory", "out-is-file"])
+def test_unreadable_path_exits_two(tmp_path, command, setup, message):
+    """A path that cannot be read or made is an input error, not a traceback."""
+    setup(tmp_path)
+    r = cli(*command, cwd=tmp_path)
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: ") and message in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_prepare_reads_byte_order_mark(tmp_path):
+    """A spreadsheet's UTF-8 export starts with a byte-order mark; it is not part of 'well'."""
+    (tmp_path / "plain").mkdir()
+    (tmp_path / "marked").mkdir()
+    (tmp_path / "plain" / "t.csv").write_text(_TINY_TABLE, encoding="utf-8")
+    (tmp_path / "marked" / "t.csv").write_text(_TINY_TABLE, encoding="utf-8-sig")
+    for d in ("plain", "marked"):
+        r = cli("prepare", "--input", "t.csv", "--out", ".", cwd=tmp_path / d)
+        assert r.returncode == 0, r.stderr
+    assert ((tmp_path / "marked" / "prepared.csv").read_bytes()
+            == (tmp_path / "plain" / "prepared.csv").read_bytes())
+
+
 @pytest.mark.parametrize("bad_row, message", [
     ("A,3,oops,2.2,0.6", "line 4, column 'f1': cannot parse 'oops'"),
     ("A,3,0.4", "line 4 has 3 cells, expected 5"),

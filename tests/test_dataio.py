@@ -155,6 +155,97 @@ def test_write_then_load_round_trip(tmp_path):
     assert np.allclose(back.target, t.target, rtol=1e-5, atol=1e-8)
 
 
+# ------------------------------------------ write_table against a cell loop
+
+def _reference_format_value(v: float) -> str:
+    if math.isnan(v):
+        return ""
+    return f"{v:.6g}"
+
+
+def reference_write_table(t, path):
+    """The one-cell-at-a-time writer whose file bytes write_table must match."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["well", "depth", *t.feature_names, t.target_name])
+        for i in range(t.n_rows):
+            writer.writerow([
+                t.well_ids[i],
+                _reference_format_value(t.depth[i]),
+                *(_reference_format_value(v) for v in t.features[i]),
+                _reference_format_value(t.target[i]),
+            ])
+
+
+def _written_table(well_ids, values):
+    """A table of the given per-row well ids and [depth, f1, f2, sw] rows."""
+    values = np.asarray(values, dtype=float).reshape(len(well_ids), 4)
+    return WellTable(wells=list(dict.fromkeys(well_ids)), well_ids=np.array(well_ids, dtype=str),
+                     depth=values[:, 0], features=values[:, 1:3], target=values[:, 3],
+                     feature_names=["f1", "f2"], target_name="sw")
+
+
+def assert_same_bytes(t, tmp_path):
+    write_table(t, tmp_path / "got.csv")
+    reference_write_table(t, tmp_path / "want.csv")
+    got, want = (tmp_path / "got.csv").read_bytes(), (tmp_path / "want.csv").read_bytes()
+    assert got == want
+    return got
+
+
+_ODD_VALUES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 1e300, 5e-324, 123456.5, 1234567.0, 0.1]
+_ODD_WELLS = ["a,b", 'say "hi"', "line\nbreak", "cr\rlf", " lead", "trail ", "Ölfeld ü", "", "plain"]
+
+
+@pytest.mark.parametrize("column", range(4))
+@pytest.mark.parametrize("chunk", [1, 2, 256])
+def test_writer_matches_reference_on_odd_values(tmp_path, monkeypatch, chunk, column):
+    """Each odd value, NaN included, in each column, across chunk boundaries."""
+    monkeypatch.setattr(dataio, "_CHUNK_ROWS", chunk)
+    n = len(_ODD_VALUES)
+    values = np.tile([1000.0, 1.5, -2.25, 0.5], (n, 1))
+    values[:, column] = _ODD_VALUES
+    text = assert_same_bytes(_written_table(["A"] * n, values), tmp_path)
+    assert text.split(b"\r\n")[1].split(b",")[1 + column] == b""   # the NaN row
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 256])
+def test_writer_matches_reference_on_odd_well_ids(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(dataio, "_CHUNK_ROWS", chunk)
+    ids = [w for w in _ODD_WELLS for _ in range(3)]
+    values = [[100.0 + i, i / 7, math.nan if i % 5 == 0 else -i, 0.5] for i in range(len(ids))]
+    assert_same_bytes(_written_table(ids, values), tmp_path)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 256])
+@pytest.mark.parametrize("n_rows", [0, 1, 255, 256, 257, 700])
+def test_writer_matches_reference_on_chunk_edges(tmp_path, monkeypatch, chunk, n_rows):
+    """No rows, a part-filled last chunk and exactly filled chunks."""
+    monkeypatch.setattr(dataio, "_CHUNK_ROWS", chunk)
+    rng = np.random.default_rng(n_rows)
+    values = rng.normal(scale=10.0 ** rng.integers(-8, 9, size=(n_rows, 4)))
+    values[rng.random((n_rows, 4)) < 0.01] = math.nan
+    ids = [_ODD_WELLS[k] for k in rng.integers(len(_ODD_WELLS), size=n_rows)]
+    assert_same_bytes(_written_table(ids, values), tmp_path)
+
+
+def test_writer_matches_reference_on_synthetic_table(tmp_path):
+    t = gen_synthetic(SynthConfig(n_wells=8, rows_per_well=300, skew=0.95, n_features=6, seed=17))
+    assert t.n_rows % dataio._CHUNK_ROWS != 0
+    assert assert_same_bytes(t, tmp_path).startswith(b"well,depth,f1,f2,f3,f4,f5,f6,sw\r\nA,1000,")
+
+
+def test_quoted_well_ids_round_trip(tmp_path):
+    """Every id comes back from load_table, stripped as the loader strips ids."""
+    ids = [w for w in _ODD_WELLS for _ in range(2)]
+    values = [[100.0 + i, 1.0, 2.0, 0.5] for i in range(len(ids))]
+    write_table(_written_table(ids, values), tmp_path / "ids.csv")
+    back = load_table(tmp_path / "ids.csv", ["f1", "f2", "sw"])
+    assert back.wells == [w.strip() for w in _ODD_WELLS]
+    assert back.well_ids.tolist() == [w.strip() for w in ids]
+    assert back.depth.tolist() == [100.0 + i for i in range(len(ids))]
+
+
 # ------------------------------------------- load_table against a row loop
 
 def _reference_parse_cell(text, line, column):
@@ -177,7 +268,7 @@ def reference_load_table(path, schema):
     feature_names = list(schema[:-1])
     target_name = schema[-1]
 
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -313,6 +404,27 @@ PARITY_CASES = {
 def test_parity_case_matches_reference(tmp_path, monkeypatch, case, chunk):
     monkeypatch.setattr(dataio, "_CHUNK_ROWS", chunk)
     assert_same_outcome(write_csv(tmp_path / "case.csv", PARITY_CASES[case]))
+
+
+@pytest.mark.parametrize("chunk", [1, 1024])
+@pytest.mark.parametrize("case", ["quoted-cells", "bad-feature", "quoted-newline-then-short-row", "header-only"])
+def test_byte_order_mark_matches_reference(tmp_path, monkeypatch, case, chunk):
+    """A UTF-8 byte-order mark, as spreadsheets export it, is not part of the first column's name."""
+    monkeypatch.setattr(dataio, "_CHUNK_ROWS", chunk)
+    header = "well,depth,GR,NPHI,RHOB,DT,SW"
+    plain = write_csv(tmp_path / "plain.csv", PARITY_CASES[case], header=header)
+    marked = write_csv(tmp_path / "marked.csv", PARITY_CASES[case], header="\ufeff" + header)
+    assert assert_same_outcome(marked) == assert_same_outcome(plain)
+    got, want = (_outcome(load_table, p, SCHEMA) for p in (marked, plain))
+    if isinstance(want, tuple):
+        assert got == (want[0], want[1].replace("plain.csv", "marked.csv"))
+
+
+def test_undecodable_file_is_malformed(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("well,depth,GR,NPHI,RHOB,DT,SW\nPuits \xe9,100,10,0.2,2.3,80,0.5\n".encode("latin-1"))
+    with pytest.raises(MalformedFile, match="latin1.csv: not UTF-8 text"):
+        load_table(path, SCHEMA)
 
 
 def test_fault_after_quoted_newline_reports_file_line(tmp_path):

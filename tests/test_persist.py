@@ -185,6 +185,13 @@ def test_empty_file_rejected(tmp_path):
         load_model(path)
 
 
+def test_undecodable_file_rejected(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("GNB-MODEL v1\npriors=0.5,0.5 # \xe9\n".encode("latin-1"))
+    with pytest.raises(MalformedFile, match="latin1.txt: not UTF-8 text"):
+        load_model(path)
+
+
 def test_truncated_svdd_file_rejected(tmp_path):
     path = tmp_path / "trunc.txt"
     path.write_text("SVDD-MODEL v1\nkernel=gaussian width=2.0\nC=0.5\n", encoding="utf-8")
