@@ -62,7 +62,7 @@ def train_gnb(X, y, norm_stats: NormStats | None = None) -> GnbModel:
 
 
 def predict_gnb(m: GnbModel, X) -> np.ndarray:
-    Xn = normalize_apply(m.norm_stats, np.asarray(X, dtype=float))
+    Xn = normalize_apply(m.norm_stats, X)
     scores = []
     for c, _ in enumerate(_CLASSES):
         mu, var = m.means[c], m.variances[c]
@@ -115,7 +115,7 @@ def train_lda(X, y, norm_stats: NormStats | None = None) -> LdaModel:
 
 
 def predict_lda(m: LdaModel, X) -> np.ndarray:
-    Xn = normalize_apply(m.norm_stats, np.asarray(X, dtype=float))
+    Xn = normalize_apply(m.norm_stats, X)
     scores = Xn @ m.coefs.T + m.intercepts
     return np.where(scores[:, 0] > scores[:, 1], LOW, HIGH)
 
@@ -218,10 +218,6 @@ def _margins(m: SvmModel, X) -> np.ndarray:
     over the whole block, read feature-major from a Fortran-ordered copy;
     with no support vectors every margin is the bias.
     """
-    X = np.asarray(X, dtype=float)
-    d = m.X_sv.shape[1]
-    if X.ndim != 2 or X.shape[1] != d:
-        raise DimensionMismatch(f"expected a 2-d query matrix of {d} features, got shape {X.shape}")
     Xn = np.asfortranarray(normalize_apply(m.norm_stats, X))
     acc = np.zeros(Xn.shape[0])
     for w, sv in zip(m.betas * m.labels, m.X_sv):

@@ -53,8 +53,6 @@ from .svdd import SvddTrainConfig
 from .svdd import predict as svdd_predict
 from .svdd import train as svdd_train
 
-_KNOWN_CLASSIFIERS = ("svdd", "svm", "gnb", "lda")
-
 
 @dataclass
 class Settings:
@@ -80,24 +78,15 @@ class Settings:
     features: int = 6
 
 
-def _type_name(t) -> str:
-    # dataclass field annotations arrive as objects here, not source strings
-    if isinstance(t, str):
-        return t
-    return t.__name__ if isinstance(t, type) else str(t)
-
-
-_CASTS = {f.name: _type_name(f.type) for f in fields(Settings)}
+_CASTS = {f.name: f.type for f in fields(Settings)}
 
 
 def _cast(key: str, raw: str):
     kind = _CASTS[key]
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "int | None":
+        if kind in (int, float):
+            return kind(raw)
+        if kind == int | None:
             return None if raw.lower() in ("", "none") else int(raw)
         return raw
     except ValueError as exc:
@@ -140,6 +129,8 @@ def _resolve_settings(args: argparse.Namespace) -> Settings:
         raise InvalidConfig(f"threshold must lie in (0, 1), got {s.threshold}")
     if not 0.0 < s.cost <= 1.0:
         raise InvalidConfig(f"cost must lie in (0, 1], got {s.cost}")
+    if not s.csvm_cost > 0:
+        raise InvalidConfig(f"csvm_cost must be positive, got {s.csvm_cost}")
     if s.relief_k < 1:
         raise InvalidConfig(f"relief_k must be at least 1, got {s.relief_k}")
     if s.max_passes is not None and s.max_passes < 1:
@@ -172,20 +163,22 @@ def _schema_from_header(path) -> list:
 
 
 def _spacing_of(s: Settings):
-    if isinstance(s.spacing, str) and s.spacing.upper() == "AUTO":
+    if s.spacing.upper() == "AUTO":
         return None
-    value = float(s.spacing)
-    if not value > 0:
-        raise InvalidConfig(f"spacing must be positive, got {value}")
-    return value
+    try:
+        return float(s.spacing)
+    except ValueError as exc:
+        raise InvalidConfig(f"bad value {s.spacing!r} for spacing") from exc
+
+
+def _load_input(s: Settings):
+    if not s.input:
+        raise InvalidConfig("no input file; pass --input or set input= in the config")
+    return load_table(s.input, _schema_from_header(s.input))
 
 
 def _load_labeled(s: Settings):
-    if not s.input:
-        raise InvalidConfig("no input file; pass --input or set input= in the config")
-    table = load_table(s.input, _schema_from_header(s.input))
-    table = drop_invalid(table)
-    return binarize_target(table, s.threshold)
+    return binarize_target(drop_invalid(_load_input(s)), s.threshold)
 
 
 def cmd_synth(s: Settings) -> int:
@@ -198,10 +191,8 @@ def cmd_synth(s: Settings) -> int:
 
 
 def cmd_prepare(s: Settings) -> int:
-    if not s.input:
-        raise InvalidConfig("no input file; pass --input or set input= in the config")
     out = _out_dir(s)
-    table = load_table(s.input, _schema_from_header(s.input))
+    table = _load_input(s)
     n_read = table.n_rows
     table = drop_invalid(table)
     n_valid = table.n_rows
@@ -225,36 +216,80 @@ def cmd_prepare(s: Settings) -> int:
     return 0
 
 
+def select_features(labeled, k: int):
+    """Keep the k features of largest Relief weight in `labeled`, in rank order.
+
+    k is checked before Relief runs. Returns the weights of every feature.
+    """
+    d = len(labeled.feature_names)
+    if not 1 <= k <= d:
+        raise InvalidK(f"relief_k must lie in [1, {d}] for {d} features, got {k}")
+    fw = relief_weights(labeled.X, labeled.y, labeled.feature_names)
+    top = select_top(fw, k)
+    labeled.X = labeled.X[:, top]
+    labeled.feature_names = [fw.feature_names[i] for i in top]
+    return fw
+
+
 def cmd_features(s: Settings) -> int:
     out = _out_dir(s)
     labeled = _load_labeled(s)
-    fw = relief_weights(labeled.X, labeled.y, labeled.feature_names)
+    fw = select_features(labeled, s.relief_k)
     order = np.argsort(-fw.weights, kind="stable")
     with open(out / "relief_weights.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["feature", "weight"])
         for i in order:
             writer.writerow([fw.feature_names[i], f"{fw.weights[i]:.6g}"])
-    top = select_top(fw, s.relief_k)
-    names = [fw.feature_names[i] for i in top]
+    names = labeled.feature_names
     (out / "selected_features.txt").write_text("\n".join(names) + "\n", encoding="utf-8")
     print(f"selected: {', '.join(names)}")
     print(f"wrote {out / 'relief_weights.csv'} and {out / 'selected_features.txt'}")
     return 0
 
 
-def run_blind_tests(labeled, kernel: KernelSpec, cost: float, classifiers,
+def run_blind_tests(labeled, kernel: KernelSpec, cost: float, classifiers=None,
                     test_wells=None, csvm_cost: float = 1.0,
-                    max_passes: int | None = None, out_dir: Path | None = None):
-    """Leave-one-well-out loop shared by the CLI and the benchmark tests.
+                    max_passes: int | None = None, out_dir: Path | None = None,
+                    relief_k: int | None = None):
+    """Leave-one-well-out protocol shared by the CLI and the benchmark tests.
 
-    Returns (records, any_nonconvergence). The hypersphere trains on the
-    minority rows of the other wells; the two-class baselines train on all of
-    their rows. Feature normalization is fitted per split on the training
-    wells and shared by every classifier.
+    Returns (records, any_nonconvergence). Every name is checked before any
+    work; with relief_k set, the top relief_k Relief features are then kept
+    in `labeled` (select_features) and printed. None for classifiers or
+    test_wells means all of them. The hypersphere trains on the minority rows
+    of the other wells; the two-class baselines train on all of their rows.
+    Feature normalization is fitted per split on the training wells and
+    shared by every classifier.
     """
-    if test_wells is None:
-        test_wells = list(labeled.wells)
+    # name -> (trains on the minority rows only, train(X, y, stats), predict).
+    # Built per call, so each entry is the module global the caller sees now.
+    table = {
+        "svdd": (True, lambda X, y, stats: svdd_train(
+            X, SvddTrainConfig(kernel=kernel, C=cost, max_passes=max_passes), stats),
+            svdd_predict),
+        "svm": (False, lambda X, y, stats: train_csvm(
+            X, y, kernel, csvm_cost, max_iter=max_passes, norm_stats=stats), predict_csvm),
+        "gnb": (False, train_gnb, predict_gnb),
+        "lda": (False, train_lda, predict_lda),
+    }
+    classifiers = list(table) if classifiers is None else classifiers
+    test_wells = list(labeled.wells) if test_wells is None else test_wells
+    if len(labeled.wells) < 2:
+        raise InvalidConfig("need at least two wells for leave-one-well-out runs")
+    for names in (classifiers, test_wells):
+        if len(set(names)) < len(names):
+            raise InvalidConfig(f"a name repeats in {', '.join(names)}")
+    for well in test_wells:
+        if well not in labeled.wells:
+            raise UnknownWell(f"unknown well {well!r}; have {labeled.wells}")
+    for name in classifiers:
+        if name not in table:
+            raise InvalidConfig(f"unknown classifier {name!r}; known: {', '.join(table)}")
+    if relief_k is not None:
+        select_features(labeled, relief_k)
+        print(f"features: {', '.join(labeled.feature_names)}")
+
     records, failed = [], False
     for well in test_wells:
         plan = split_leave_one_well_out(labeled, well)
@@ -263,28 +298,11 @@ def run_blind_tests(labeled, kernel: KernelSpec, cost: float, classifiers,
         X_test = labeled.X[plan.test_rows]
         y_test = labeled.y[plan.test_rows]
         for name in classifiers:
+            minority_only, fit, predict = table[name]
+            rows = plan.train_rows if minority_only else train_all
             try:
-                if name == "svdd":
-                    cfg = SvddTrainConfig(kernel=kernel, C=cost, max_passes=max_passes)
-                    model, t_train = timed(
-                        lambda: svdd_train(labeled.X[plan.train_rows], cfg, stats))
-                    y_pred, t_test = timed(lambda: svdd_predict(model, X_test))
-                elif name == "svm":
-                    model, t_train = timed(
-                        lambda: train_csvm(labeled.X[train_all], labeled.y[train_all],
-                                           kernel, csvm_cost, max_iter=max_passes,
-                                           norm_stats=stats))
-                    y_pred, t_test = timed(lambda: predict_csvm(model, X_test))
-                elif name == "gnb":
-                    model, t_train = timed(
-                        lambda: train_gnb(labeled.X[train_all], labeled.y[train_all], stats))
-                    y_pred, t_test = timed(lambda: predict_gnb(model, X_test))
-                elif name == "lda":
-                    model, t_train = timed(
-                        lambda: train_lda(labeled.X[train_all], labeled.y[train_all], stats))
-                    y_pred, t_test = timed(lambda: predict_lda(model, X_test))
-                else:
-                    raise InvalidConfig(f"unknown classifier {name!r}")
+                model, t_train = timed(lambda: fit(labeled.X[rows], labeled.y[rows], stats))
+                y_pred, t_test = timed(lambda: predict(model, X_test))
             except NonConvergence:
                 failed = True
                 records.append(RunRecord(name, well, None, None, None, None, None))
@@ -304,31 +322,11 @@ def run_blind_tests(labeled, kernel: KernelSpec, cost: float, classifiers,
 def cmd_run(s: Settings) -> int:
     out = _out_dir(s)
     labeled = _load_labeled(s)
-    if len(labeled.wells) < 2:
-        raise InvalidConfig("need at least two wells for leave-one-well-out runs")
     classifiers = [c.strip() for c in s.classifiers.split(",") if c.strip()]
-    test_wells = (list(labeled.wells) if s.test_wells.upper() == "ALL"
+    test_wells = (None if s.test_wells.upper() == "ALL"
                   else [w.strip() for w in s.test_wells.split(",") if w.strip()])
-    for names in (classifiers, test_wells):
-        if len(set(names)) < len(names):
-            raise InvalidConfig(f"a name repeats in {', '.join(names)}")
-    for well in test_wells:
-        if well not in labeled.wells:
-            raise UnknownWell(f"unknown well {well!r}; have {labeled.wells}")
-    for name in classifiers:
-        if name not in _KNOWN_CLASSIFIERS:
-            raise InvalidConfig(f"unknown classifier {name!r}; known: {', '.join(_KNOWN_CLASSIFIERS)}")
-    if s.relief_k > len(labeled.feature_names):
-        raise InvalidK(f"relief_k={s.relief_k} exceeds the {len(labeled.feature_names)} features")
-
-    fw = relief_weights(labeled.X, labeled.y, labeled.feature_names)
-    top = select_top(fw, s.relief_k)
-    labeled.X = labeled.X[:, top]
-    labeled.feature_names = [fw.feature_names[i] for i in top]
-    print(f"features: {', '.join(labeled.feature_names)}")
-
     records, failed = run_blind_tests(labeled, _kernel_of(s), s.cost, classifiers,
-                                      test_wells, s.csvm_cost, s.max_passes, out)
+                                      test_wells, s.csvm_cost, s.max_passes, out, s.relief_k)
     report = compare_report(records)
     (out / "report.csv").write_text(report, encoding="utf-8")
     print(report, end="")

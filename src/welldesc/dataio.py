@@ -26,6 +26,7 @@ from itertools import compress, islice
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     EmptyInput,
     EmptyResult,
     EmptyRowSet,
@@ -339,8 +340,8 @@ def resample_uniform(t: WellTable, spacing: float | None = AUTO) -> WellTable:
     runs from the first to the last observed depth; nothing is extrapolated.
     Run drop_invalid first: missing values would bleed into their neighbors.
     """
-    if spacing is not AUTO and not spacing > 0:
-        raise InvalidConfig("spacing must be positive")
+    if spacing is not AUTO and not (spacing > 0 and math.isfinite(spacing)):
+        raise InvalidConfig(f"spacing must be positive and finite, got {spacing}")
     blocks = []
     for w in t.wells:
         idx = t.rows_of(w)
@@ -417,7 +418,11 @@ def normalize_fit(X, rows=None) -> NormStats:
 
 
 def normalize_apply(stats: NormStats, X) -> np.ndarray:
+    """Z-score a 2-d block of rows; the one shape check of every model's input."""
     X = np.asarray(X, dtype=float)
+    d = stats.mean.size
+    if X.ndim != 2 or X.shape[1] != d:
+        raise DimensionMismatch(f"expected a 2-d matrix of {d} features, got shape {X.shape}")
     return (X - stats.mean) / stats.std
 
 

@@ -122,10 +122,6 @@ def _radius2(m: SvddModel, X) -> np.ndarray:
     vectors the model has. The block is normalized into Fortran order, so
     each kernel_row reads it feature-major and contiguous.
     """
-    X = np.asarray(X, dtype=float)
-    d = m.X_train.shape[1]
-    if X.ndim != 2 or X.shape[1] != d:
-        raise DimensionMismatch(f"expected a 2-d query matrix of {d} features, got shape {X.shape}")
     Xn = np.asfortranarray(normalize_apply(m.norm_stats, X))
     acc = np.zeros(Xn.shape[0])
     live = m.alphas != 0.0

@@ -1,7 +1,8 @@
 """Shared helpers for the test suite.
 
-The leave-one-well-out benchmark used by several tests lives here so the
-CLI tests and the acceptance suite drive the exact same code path.
+The leave-one-well-out benchmark used by several tests lives here. It
+selects features and runs the splits through the functions `welldesc run`
+calls, select_features and run_blind_tests.
 """
 
 import os
@@ -10,15 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from welldesc import (
-    KernelSpec,
-    SynthConfig,
-    binarize_target,
-    gen_synthetic,
-    relief_weights,
-    select_top,
-)
-from welldesc.cli import run_blind_tests
+from welldesc import KernelSpec, SynthConfig, binarize_target, gen_synthetic
+from welldesc.cli import run_blind_tests, select_features
 
 BENCH_KERNEL = KernelSpec(family="gaussian", width=2.0)
 BENCH_COST = 0.25
@@ -42,16 +36,13 @@ def benchmark_dataset(seed, n_wells=4, rows=500, skew=0.97, n_features=6, relief
     table = gen_synthetic(SynthConfig(n_wells=n_wells, rows_per_well=rows,
                                       skew=skew, n_features=n_features, seed=seed))
     data = binarize_target(table, 0.7)
-    fw = relief_weights(data.X, data.y, data.feature_names)
-    top = select_top(fw, relief_k)
-    data.X = data.X[:, top]
-    data.feature_names = [fw.feature_names[i] for i in top]
+    select_features(data, relief_k)
     return data
 
 
-def benchmark_records(seed, cost=BENCH_COST, classifiers=("svdd", "svm", "gnb", "lda")):
-    data = benchmark_dataset(seed)
-    records, failed = run_blind_tests(data, BENCH_KERNEL, cost, list(classifiers))
+def benchmark_records(seed, cost=BENCH_COST):
+    """Every classifier on every well of benchmark_dataset(seed)."""
+    records, failed = run_blind_tests(benchmark_dataset(seed), BENCH_KERNEL, cost)
     assert not failed
     return records
 

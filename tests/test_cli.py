@@ -1,7 +1,10 @@
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
+
+import welldesc.cli
 
 SMALL_SYNTH = ["--wells", "2", "--rows", "40", "--skew", "0.9", "--features", "4"]
 
@@ -26,6 +29,29 @@ def prepare_small(tmp_path, seed="1"):
 
 def rows_of(path):
     return path.read_text().strip().split("\n")[1:]
+
+
+def prepare_in_process(tmp_path):
+    for argv in (["synth", *SMALL_SYNTH], ["prepare", "--input", str(tmp_path / "synthetic.csv")]):
+        assert welldesc.cli.main([*argv, "--out", str(tmp_path)]) == 0
+    return tmp_path / "prepared.csv"
+
+
+# Names that perfbench's tracer and model capture swap on welldesc.cli.
+PER_SPLIT = ("svdd_train", "svdd_predict", "train_csvm", "predict_csvm",
+             "train_gnb", "predict_gnb", "train_lda", "predict_lda")
+SWAPPED = (*PER_SPLIT, "relief_weights", "select_top", "save_model")
+
+
+def count_calls(monkeypatch):
+    """Replace every SWAPPED name on welldesc.cli by a wrapper that counts its calls."""
+    calls = Counter()
+    for name in SWAPPED:
+        def wrapper(*args, _fn=getattr(welldesc.cli, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(welldesc.cli, name, wrapper)
+    return calls
 
 
 # -------------------------------------------------------------------- synth
@@ -100,6 +126,17 @@ def test_prepare_all_rows_missing(tmp_path):
                    "A,2,,2.1,0.6\n", encoding="utf-8")
     r = cli("prepare", "--input", "gaps.csv", "--out", ".", cwd=tmp_path)
     assert r.returncode == 3
+
+
+@pytest.mark.parametrize("spacing", ["abc", "inf", "nan"])
+def test_prepare_bad_spacing_exits_two(tmp_path, spacing):
+    synth_small(tmp_path)
+    r = cli("prepare", "--input", "synthetic.csv", "--spacing", spacing, "--out", ".",
+            cwd=tmp_path)
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: ") and "spacing" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not (tmp_path / "prepared.csv").exists()
 
 
 def test_prepare_missing_input_file(tmp_path):
@@ -249,6 +286,41 @@ def test_run_repeated_name_rejected(tmp_path, extra):
     assert not (tmp_path / "report.csv").exists()
 
 
+def test_run_calls_every_swapped_name(tmp_path, monkeypatch, capsys):
+    """Each trainer, predictor, Relief step and model save is reached through its
+    welldesc.cli global at call time, so a wrapper put there sees every call."""
+    prepared = prepare_in_process(tmp_path)
+    calls = count_calls(monkeypatch)
+    code = welldesc.cli.main(["run", "--input", str(prepared), "--cost", "0.25",
+                              "--relief-k", "2", "--out", str(tmp_path)])
+    assert code == 0, capsys.readouterr().err
+    splits = 2
+    assert calls == {**{name: splits for name in PER_SPLIT}, "relief_weights": 1,
+                     "select_top": 1, "save_model": 4 * splits}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--csvm-cost", "nan"], "csvm_cost must be positive"),
+    (["run", "--csvm-cost", "0"], "csvm_cost must be positive"),
+    (["run", "--csvm-cost", "-1", "--classifiers", "gnb"], "csvm_cost must be positive"),
+    (["run", "--relief-k", "9"], "relief_k must lie in [1, 4]"),
+    (["features", "--relief-k", "9"], "relief_k must lie in [1, 4]"),
+    (["run", "--classifiers", "svdd,forest"], "unknown classifier 'forest'"),
+    (["run", "--test-wells", "A,Z"], "unknown well 'Z'"),
+    (["run", "--classifiers", "gnb,gnb"], "a name repeats"),
+], ids=["csvm-nan", "csvm-zero", "csvm-negative-unused", "run-k", "features-k",
+        "classifier", "well", "repeat"])
+def test_bad_setting_fails_before_relief(tmp_path, monkeypatch, capsys, argv, message):
+    prepared = prepare_in_process(tmp_path)
+    capsys.readouterr()
+    calls = count_calls(monkeypatch)
+    code = welldesc.cli.main([*argv, "--input", str(prepared), "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err.startswith("error: ") and message in err
+    assert not calls and out == ""
+
+
 def test_run_relief_k_too_large(tmp_path):
     prepare_small(tmp_path)
     r = cli("run", "--input", "prepared.csv", "--cost", "0.25",
@@ -351,6 +423,17 @@ def test_config_unknown_key_rejected(tmp_path):
     (tmp_path / "run.cfg").write_text("inptu=prepared.csv\n", encoding="utf-8")
     r = cli("run", "--config", "run.cfg", cwd=tmp_path)
     assert r.returncode == 2
+
+
+def test_config_values_cast_by_annotation(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed=7\nwidth=1.5\nmax_passes=none\nrelief_k=3\n"
+                   "input=t.csv\nspacing=AUTO\n", encoding="utf-8")
+    assert welldesc.cli.read_config_file(cfg) == {
+        "seed": 7, "width": 1.5, "max_passes": None, "relief_k": 3,
+        "input": "t.csv", "spacing": "AUTO"}
+    cfg.write_text("max_passes=12\n", encoding="utf-8")
+    assert welldesc.cli.read_config_file(cfg) == {"max_passes": 12}
 
 
 def test_config_bad_value_rejected(tmp_path):

@@ -593,8 +593,9 @@ def test_resample_single_row_well():
 
 def test_resample_rejects_bad_spacing():
     t = _one_well_table([0.0, 1.0], [0.0, 1.0], [0.0, 1.0])
-    with pytest.raises(InvalidConfig):
-        resample_uniform(t, 0.0)
+    for bad in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(InvalidConfig, match="spacing must be positive and finite"):
+            resample_uniform(t, bad)
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf])

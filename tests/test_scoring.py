@@ -24,10 +24,14 @@ from welldesc import (
     normalize_fit,
     predict,
     predict_csvm,
+    predict_gnb,
+    predict_lda,
     radius2_of,
     svm_decision,
     train,
     train_csvm,
+    train_gnb,
+    train_lda,
 )
 from welldesc.baselines import _margins
 from welldesc.errors import DimensionMismatch
@@ -134,7 +138,9 @@ def models(seed=25):
                          labels=np.empty(0), X_sv=np.empty((0, 3)), bias=0.1,
                          norm_stats=stats)
     return [(svdd, predict, radius2_of), (svm, predict_csvm, svm_decision),
-            (empty_svm, predict_csvm, svm_decision)]
+            (empty_svm, predict_csvm, svm_decision),
+            (train_gnb(X, y, stats), predict_gnb, None),
+            (train_lda(X, y, stats), predict_lda, None)]
 
 
 @pytest.mark.parametrize("case", range(3), ids=["svdd", "svm", "svm-no-sv"])
@@ -145,7 +151,7 @@ def test_zero_row_query(case):
     assert np.issubdtype(out.dtype, np.integer)
 
 
-@pytest.mark.parametrize("case", range(3), ids=["svdd", "svm", "svm-no-sv"])
+@pytest.mark.parametrize("case", range(5), ids=["svdd", "svm", "svm-no-sv", "gnb", "lda"])
 def test_query_shape_rejected(case):
     m, predict_fn, score_fn = models()[case]
     Q = np.ones((4, 3))
@@ -153,6 +159,8 @@ def test_query_shape_rejected(case):
         predict_fn(m, Q[0])                 # 1-D block
     with pytest.raises(DimensionMismatch):
         predict_fn(m, Q[:, :2])             # wrong width
+    if score_fn is None:                    # gnb and lda score only blocks
+        return
     with pytest.raises(DimensionMismatch):
         score_fn(m, Q)                      # 2-D single point
     with pytest.raises(DimensionMismatch):
