@@ -27,10 +27,8 @@ from .svdd import (
     SvddModel,
     SvddTrainConfig,
     decide,
-    dual_objective,
     predict,
     radius2_of,
-    solve_dual_bruteforce,
     train,
 )
 from .relief import FeatureWeights, relief_weights, select_top

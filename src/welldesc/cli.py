@@ -277,7 +277,9 @@ def run_blind_tests(labeled, kernel: KernelSpec, cost: float, classifiers=None,
     test_wells = list(labeled.wells) if test_wells is None else test_wells
     if len(labeled.wells) < 2:
         raise InvalidConfig("need at least two wells for leave-one-well-out runs")
-    for names in (classifiers, test_wells):
+    for kind, names in (("classifier", classifiers), ("test well", test_wells)):
+        if not names:
+            raise InvalidConfig(f"the {kind} list is empty")
         if len(set(names)) < len(names):
             raise InvalidConfig(f"a name repeats in {', '.join(names)}")
     for well in test_wells:

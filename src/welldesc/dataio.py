@@ -43,9 +43,11 @@ SENTINEL = -999.25
 
 LOW = 0
 HIGH = 1
-LABEL_NAMES = {LOW: "low", HIGH: "high"}
 
 AUTO = None  # resample spacing: take the median observed step per well
+# resample_uniform refuses a grid of more rows than this in one well, before
+# it allocates the grid: a tiny step would otherwise ask for billions of rows
+MAX_GRID_ROWS = 10_000_000
 
 # csv rows that load_table parses, and write_table formats, at a time. The
 # chunk's cell strings and float columns are the per-row temporaries of both,
@@ -338,6 +340,7 @@ def resample_uniform(t: WellTable, spacing: float | None = AUTO) -> WellTable:
 
     spacing=AUTO uses the median consecutive depth step of each well. The grid
     runs from the first to the last observed depth; nothing is extrapolated.
+    A well whose grid would exceed MAX_GRID_ROWS rows raises InvalidConfig.
     Run drop_invalid first: missing values would bleed into their neighbors.
     """
     if spacing is not AUTO and not (spacing > 0 and math.isfinite(spacing)):
@@ -351,7 +354,12 @@ def resample_uniform(t: WellTable, spacing: float | None = AUTO) -> WellTable:
         if not np.isfinite(depths).all():
             raise NonFiniteInput(f"well {w!r} has a non-finite depth")
         step = float(np.median(np.diff(depths))) if spacing is AUTO else float(spacing)
-        count = int(math.floor((depths[-1] - depths[0]) / step + 1e-9)) + 1
+        steps = (depths[-1] - depths[0]) / step + 1e-9
+        if not steps < MAX_GRID_ROWS:
+            raise InvalidConfig(
+                f"well {w!r}: depth spacing {step:g} makes {steps + 1:.3g} grid rows, "
+                f"over the cap of {MAX_GRID_ROWS:,}")
+        count = int(math.floor(steps)) + 1
         grid = depths[0] + step * np.arange(count)
         feats = np.column_stack([np.interp(grid, depths, t.features[idx, j])
                                  for j in range(t.features.shape[1])])

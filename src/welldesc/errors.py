@@ -71,10 +71,6 @@ class NonConvergence(WelldescError):
         self.kkt_violation = kkt_violation
 
 
-class OracleScaleExceeded(WelldescError):
-    """The reference solver is restricted to small problems by design."""
-
-
 class SingleClassInput(WelldescError):
     pass
 

@@ -25,7 +25,6 @@ from welldesc import (
     SynthConfig,
     binarize_target,
     compare_report,
-    dual_objective,
     gen_synthetic,
     g_mean,
     load_model,
@@ -35,13 +34,13 @@ from welldesc import (
     relief_weights,
     save_model,
     select_top,
-    solve_dual_bruteforce,
     split_leave_one_well_out,
     train,
 )
 from welldesc.kernels import gram
 
 from conftest import BENCH_COST, benchmark_averages, benchmark_dataset, benchmark_records
+from oracle import dual_objective, solve_dual_bruteforce
 
 WIDE = KernelSpec(width=2.0)
 

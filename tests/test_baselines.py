@@ -21,7 +21,8 @@ from welldesc import (
 from welldesc import baselines, smo
 from welldesc.errors import NonConvergence, SingleClassInput, SingularCovariance
 from welldesc.kernels import gram
-from welldesc.svdd import solve_box_qp
+
+from oracle import solve_box_qp
 
 WIDE = KernelSpec(width=2.0)
 

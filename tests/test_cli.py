@@ -1,11 +1,14 @@
+import importlib.util
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 import welldesc.cli
 
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 SMALL_SYNTH = ["--wells", "2", "--rows", "40", "--skew", "0.9", "--features", "4"]
 
 
@@ -128,7 +131,7 @@ def test_prepare_all_rows_missing(tmp_path):
     assert r.returncode == 3
 
 
-@pytest.mark.parametrize("spacing", ["abc", "inf", "nan"])
+@pytest.mark.parametrize("spacing", ["abc", "inf", "nan", "1e-300"])
 def test_prepare_bad_spacing_exits_two(tmp_path, spacing):
     synth_small(tmp_path)
     r = cli("prepare", "--input", "synthetic.csv", "--spacing", spacing, "--out", ".",
@@ -299,6 +302,20 @@ def test_run_calls_every_swapped_name(tmp_path, monkeypatch, capsys):
                      "select_top": 1, "save_model": 4 * splits}
 
 
+def test_every_traced_name_exists():
+    """perfbench's tracer looks up each (module, attribute) of its SPANNED and
+    COUNTED tables with getattr, so a name dropped from the package breaks
+    every traced benchmark pass. spans.py is loaded, not changed."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    wrapped = [(module, attr) for module, attr, _ in (*spans.SPANNED, *spans.COUNTED)]
+    assert wrapped
+    missing = [f"{module.__name__}.{attr}" for module, attr in wrapped
+               if not callable(getattr(module, attr, None))]
+    assert not missing
+
+
 @pytest.mark.parametrize("argv, message", [
     (["run", "--csvm-cost", "nan"], "csvm_cost must be positive"),
     (["run", "--csvm-cost", "0"], "csvm_cost must be positive"),
@@ -308,8 +325,10 @@ def test_run_calls_every_swapped_name(tmp_path, monkeypatch, capsys):
     (["run", "--classifiers", "svdd,forest"], "unknown classifier 'forest'"),
     (["run", "--test-wells", "A,Z"], "unknown well 'Z'"),
     (["run", "--classifiers", "gnb,gnb"], "a name repeats"),
+    (["run", "--classifiers", " , "], "the classifier list is empty"),
+    (["run", "--test-wells", ","], "the test well list is empty"),
 ], ids=["csvm-nan", "csvm-zero", "csvm-negative-unused", "run-k", "features-k",
-        "classifier", "well", "repeat"])
+        "classifier", "well", "repeat", "classifier-empty", "well-empty"])
 def test_bad_setting_fails_before_relief(tmp_path, monkeypatch, capsys, argv, message):
     prepared = prepare_in_process(tmp_path)
     capsys.readouterr()

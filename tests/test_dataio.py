@@ -596,6 +596,24 @@ def test_resample_rejects_bad_spacing():
     for bad in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(InvalidConfig, match="spacing must be positive and finite"):
             resample_uniform(t, bad)
+    # a step too fine for MAX_GRID_ROWS fails before the grid is allocated
+    tracemalloc.start()
+    try:
+        for tiny, rows in ((1e-300, r"1e\+300"), (1e-9, r"1e\+09")):
+            with pytest.raises(InvalidConfig, match=rf"well 'W1': depth spacing {tiny:g} "
+                                                    rf"makes {rows} grid rows, over the cap"):
+                resample_uniform(t, tiny)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_resample_rejects_a_tiny_auto_step():
+    # the median step is 1e-9, so the grid over [0, 1000] would have 1e12 rows
+    t = _one_well_table([0.0, 1e-9, 2e-9, 1000.0], [1.0, 2.0, 3.0, 4.0], [0.1, 0.2, 0.3, 0.4])
+    with pytest.raises(InvalidConfig, match=r"well 'W1': depth spacing 1e-09 makes 1e\+12"):
+        resample_uniform(t)
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf])

@@ -12,20 +12,15 @@ from welldesc import (
     KernelSpec,
     SvddTrainConfig,
     decide,
-    dual_objective,
     predict,
     radius2_of,
-    solve_dual_bruteforce,
     train,
 )
-from welldesc import svdd
-from welldesc.errors import (
-    EmptyTrainingSet,
-    InfeasibleCost,
-    NonConvergence,
-    OracleScaleExceeded,
-)
+from welldesc.errors import EmptyTrainingSet, InfeasibleCost, NonConvergence
 from welldesc.kernels import gram
+
+import oracle
+from oracle import OracleScaleExceeded, dual_objective, solve_dual_bruteforce
 
 WIDE = KernelSpec(width=2.0)
 
@@ -355,7 +350,7 @@ def test_oracle_respects_constraints(case):
 
 
 def test_oracle_raises_at_its_iteration_cap(monkeypatch):
-    monkeypatch.setattr(svdd, "_QP_MAX_ITER", 1)
+    monkeypatch.setattr(oracle, "_QP_MAX_ITER", 1)
     X = np.random.default_rng(10).normal(size=(14, 2))
     with pytest.raises(NonConvergence) as err:
         solve_dual_bruteforce(gram(WIDE, X), 0.11)
