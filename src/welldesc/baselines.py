@@ -28,7 +28,8 @@ _VAR_FLOOR = 1e-9
 _CACHE_BYTES = 100 << 20
 
 
-def _check_two_class(X, y):
+def _two_class_input(X, y, norm_stats: NormStats | None):
+    """(X normalized, y, stats) of a sample holding both classes; stats default to the identity."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
@@ -36,7 +37,8 @@ def _check_two_class(X, y):
     for cls in _CLASSES:
         if not (y == cls).any():
             raise SingleClassInput(f"class {cls} absent from training labels")
-    return X, y
+    stats = norm_stats if norm_stats is not None else NormStats.identity(X.shape[1])
+    return normalize_apply(stats, X), y, stats
 
 
 @dataclass
@@ -47,18 +49,19 @@ class GnbModel:
     norm_stats: NormStats
 
 
+def _class_moments(Xn: np.ndarray, y: np.ndarray) -> tuple:
+    """Rows, priors and means of the classes LOW, HIGH of a normalized sample."""
+    rows = [Xn[y == cls] for cls in _CLASSES]
+    priors = np.array([r.shape[0] / Xn.shape[0] for r in rows])
+    return rows, priors, np.array([r.mean(axis=0) for r in rows])
+
+
 def train_gnb(X, y, norm_stats: NormStats | None = None) -> GnbModel:
     """Per-class independent Gaussians by maximum likelihood."""
-    X, y = _check_two_class(X, y)
-    stats = norm_stats if norm_stats is not None else NormStats.identity(X.shape[1])
-    Xn = normalize_apply(stats, X)
-    priors, means, variances = [], [], []
-    for cls in _CLASSES:
-        rows = Xn[y == cls]
-        priors.append(rows.shape[0] / Xn.shape[0])
-        means.append(rows.mean(axis=0))
-        variances.append(np.maximum(rows.var(axis=0), _VAR_FLOOR))
-    return GnbModel(np.array(priors), np.array(means), np.array(variances), stats)
+    Xn, y, stats = _two_class_input(X, y, norm_stats)
+    rows, priors, means = _class_moments(Xn, y)
+    variances = np.array([np.maximum(r.var(axis=0), _VAR_FLOOR) for r in rows])
+    return GnbModel(priors, means, variances, stats)
 
 
 def predict_gnb(m: GnbModel, X) -> np.ndarray:
@@ -93,23 +96,12 @@ def _lda_discriminant(cov: np.ndarray, means: np.ndarray, priors: np.ndarray):
 
 def train_lda(X, y, norm_stats: NormStats | None = None) -> LdaModel:
     """Shared-covariance Gaussian classes; covariance ridged by 1e-6 * trace/d."""
-    X, y = _check_two_class(X, y)
-    stats = norm_stats if norm_stats is not None else NormStats.identity(X.shape[1])
-    Xn = normalize_apply(stats, X)
+    Xn, y, stats = _two_class_input(X, y, norm_stats)
     n, d = Xn.shape
-    priors, means = [], []
-    scatter = np.zeros((d, d))
-    for cls in _CLASSES:
-        rows = Xn[y == cls]
-        priors.append(rows.shape[0] / n)
-        mu = rows.mean(axis=0)
-        means.append(mu)
-        centered = rows - mu
-        scatter += centered.T @ centered
-    cov = scatter / n
+    rows, priors, means = _class_moments(Xn, y)
+    centered = [r - mu for r, mu in zip(rows, means)]
+    cov = sum(c.T @ c for c in centered) / n
     cov = cov + (1e-6 * np.trace(cov) / d) * np.eye(d)
-    priors = np.array(priors)
-    means = np.array(means)
     coefs, intercepts = _lda_discriminant(cov, means, priors)
     return LdaModel(priors, means, cov, coefs, intercepts, stats)
 
@@ -172,35 +164,31 @@ class _KernelColumns:
 
 
 def train_csvm(X, y, kernel: KernelSpec | None = None, C_svm: float = 1.0,
-               max_iter: int | None = None, norm_stats: NormStats | None = None) -> SvmModel:
+               max_passes: int | None = None, norm_stats: NormStats | None = None) -> SvmModel:
     """Soft-margin kernel SVM, its dual solved by the shared pairwise solver.
 
     LOW maps to +1, HIGH to -1. Each working pair is the most violating index
     and the partner with the largest second-order gain (`welldesc.smo`); the
     two-variable step keeps sum(beta * y) = 0 and stays in the box [0, C].
+    max_passes caps the solver's passes; None leaves smo.solve's default.
     The Gram is never built: the solver reads kernel columns from a cache
     that computes each on first use and holds at most _CACHE_BYTES (100 MB)
     of them, so training needs that budget plus O(n) vectors. Up to the
     solver's first full refresh (pass 1024) the result is bit-identical to a
     dense Gram's; after it only the summation order of the refresh differs.
     """
-    X, y = _check_two_class(X, y)
+    Xn, y, stats = _two_class_input(X, y, norm_stats)
     if kernel is None:
         kernel = KernelSpec()
     if not C_svm > 0:
         raise InvalidConfig(f"C_svm must be positive, got {C_svm}")
-    stats = norm_stats if norm_stats is not None else NormStats.identity(X.shape[1])
-    Xn = normalize_apply(stats, X)
     n = Xn.shape[0]
     yy = np.where(y == LOW, 1.0, -1.0)
     C = float(C_svm)
-    tol = 1e-6  # the solver's stopping gap; also tells free multipliers from bounded ones
-    if max_iter is None:
-        max_iter = 10 * n * n
     beta, v, up, low = smo.solve(_KernelColumns(kernel, Xn), yy, -np.ones(n), C, np.zeros(n),
-                                 tol, max_iter)
+                                 max_passes)
 
-    unbounded = (beta > tol) & (beta < C - tol)
+    unbounded = (beta > smo.TOL) & (beta < C - smo.TOL)
     if unbounded.any():
         bias = float(v[unbounded].mean())
     else:

@@ -148,20 +148,6 @@ def _out_dir(s: Settings) -> Path:
     return out
 
 
-def _schema_from_header(path) -> list:
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            header = next(csv.reader(fh), None)
-    except UnicodeDecodeError as exc:
-        raise MalformedFile(f"{path}: not UTF-8 text ({exc.reason})") from exc
-    if not header:
-        raise MalformedFile(f"{path}: empty file")
-    schema = [h.strip() for h in header if h.strip() not in ("well", "depth")]
-    if len(schema) < 2:
-        raise MalformedFile(f"{path}: need at least one feature column and a target column")
-    return schema
-
-
 def _spacing_of(s: Settings):
     if s.spacing.upper() == "AUTO":
         return None
@@ -174,7 +160,7 @@ def _spacing_of(s: Settings):
 def _load_input(s: Settings):
     if not s.input:
         raise InvalidConfig("no input file; pass --input or set input= in the config")
-    return load_table(s.input, _schema_from_header(s.input))
+    return load_table(s.input)
 
 
 def _load_labeled(s: Settings):
@@ -269,7 +255,7 @@ def run_blind_tests(labeled, kernel: KernelSpec, cost: float, classifiers=None,
             X, SvddTrainConfig(kernel=kernel, C=cost, max_passes=max_passes), stats),
             svdd_predict),
         "svm": (False, lambda X, y, stats: train_csvm(
-            X, y, kernel, csvm_cost, max_iter=max_passes, norm_stats=stats), predict_csvm),
+            X, y, kernel, csvm_cost, max_passes=max_passes, norm_stats=stats), predict_csvm),
         "gnb": (False, train_gnb, predict_gnb),
         "lda": (False, train_lda, predict_lda),
     }

@@ -156,53 +156,45 @@ def _file_line(path, record: int) -> int:
         return reader.line_num + 1
 
 
-def _raise_row_fault(path, record: int, row: list, col: dict, feature_names: list, target_name: str):
-    """Raise the first fault of a row known to have one, in the per-row check order.
-
-    Each cell goes through _parse_column alone. A row whose cells all parse,
-    and whose depth is a number, is faulty only through its target, which
-    then lies outside [0, 1].
-    """
-    line_no = _file_line(path, record)
-    for name in ("depth", *feature_names, target_name):
-        text = row[col[name]]
-        (value,), bad = _parse_column([text])
-        if bad == 0:
-            raise NonNumericCell(line_no, name, text.strip().replace("−", "-"))
-        if name == "depth" and math.isnan(value):
-            raise NonNumericCell(line_no, "depth", text)
-    raise MalformedFile(f"{path}: line {line_no}: target {value} outside [0, 1]")
-
-
 def _parse_chunk(path, rows: list, records: np.ndarray, width: int, col: dict,
                  feature_names: list, target_name: str) -> tuple:
     """Stripped well ids and a float block [depth, features..., target] of csv rows.
 
     Raises the error of the first faulty row, so a row is reported before
-    every later one, whichever check each fails.
+    every later one, whichever check each fails. Within that row the depth
+    is checked first (not a number, then missing), then the features in
+    schema order and the target (not a number), then the target's range.
     """
     n_ok = _first(np.fromiter(map(len, rows), np.intp, count=len(rows)) < width)
     columns = list(zip(*rows[:n_ok])) or [()] * width  # n_ok == 0: the first row is short
-    value_cols = [col["depth"], *(col[f] for f in feature_names), col[target_name]]
-    block = np.empty((n_ok, len(value_cols)))
-    bad = n_ok
-    for j, c in enumerate(value_cols):
-        block[:, j], bad_j = _parse_column(columns[c])
-        bad = min(bad, bad_j)
+    names = ["depth", *feature_names, target_name]
+    block = np.empty((n_ok, len(names)))
+    bads = []  # each column's first unparsable row
+    for j, name in enumerate(names):
+        block[:, j], bad_j = _parse_column(columns[col[name]])
+        bads.append(bad_j)
     depth, target = block[:, 0], block[:, -1]
-    bad = min(bad, _first(np.isnan(depth) | (target < 0.0) | (target > 1.0)))
+    bad = min(*bads, _first(np.isnan(depth) | (target < 0.0) | (target > 1.0)))
     if bad < n_ok:
-        _raise_row_fault(path, int(records[bad]), rows[bad], col, feature_names, target_name)
+        line_no, cells = _file_line(path, int(records[bad])), rows[bad]
+        for j, name in enumerate(names):
+            text = cells[col[name]]
+            if bads[j] == bad:
+                raise NonNumericCell(line_no, name, text.strip().replace("−", "-"))
+            if j == 0 and math.isnan(depth[bad]):
+                raise NonNumericCell(line_no, name, text)
+        raise MalformedFile(f"{path}: line {line_no}: target {target[bad]} outside [0, 1]")
     if n_ok < len(rows):
         raise MalformedFile(f"{path}: line {_file_line(path, int(records[n_ok]))} has {len(rows[n_ok])} cells, expected {width}")
     return list(map(str.strip, columns[col["well"]])), block
 
 
-def load_table(path, schema: list) -> WellTable:
+def load_table(path, schema: list | None = None) -> WellTable:
     """Read a well CSV whose header carries well, depth, and the schema columns.
 
-    The last schema column is the target. Empty cells and the -999.25 null
-    sentinel are marked missing. Rows are grouped by well (first-appearance
+    The last schema column is the target; schema=None takes every header
+    column but well and depth, in header order. Empty cells and the -999.25
+    null sentinel are marked missing. Rows are grouped by well (first-appearance
     order) and sorted by depth; a duplicated depth within a well is an error.
 
     The file is read in chunks of _CHUNK_ROWS csv rows, and each chunk is
@@ -214,18 +206,21 @@ def load_table(path, schema: list) -> WellTable:
     order. A leading UTF-8 byte-order mark is skipped; bytes that are not
     UTF-8 raise MalformedFile.
     """
-    if len(schema) < 2:
+    if schema is not None and len(schema) < 2:
         raise MalformedFile("schema needs at least one feature column and a target column")
-    feature_names = list(schema[:-1])
-    target_name = schema[-1]
 
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
-            if header is None:
+            if not header:  # no line at all, or a blank first line
                 raise MalformedFile(f"{path}: empty file")
             header = [h.strip() for h in header]
+            if schema is None:
+                schema = [h for h in header if h not in ("well", "depth")]
+                if len(schema) < 2:
+                    raise MalformedFile(f"{path}: need at least one feature column and a target column")
+            feature_names, target_name = list(schema[:-1]), schema[-1]
             for name in ("well", "depth", *schema):
                 if name not in header:
                     raise MalformedFile(f"{path}: missing column {name!r}")

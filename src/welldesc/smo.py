@@ -19,7 +19,9 @@ kernel cache in `welldesc.baselines`), or hold K whole (`Dense`).
 
 import numpy as np
 
-from .errors import NonConvergence
+from .errors import NonConvergence, NonFiniteInput
+
+TOL = 1e-6  # the stopping gap; both trainers also read a multiplier within TOL of a bound as on it
 
 
 class Dense:
@@ -40,7 +42,7 @@ class Dense:
         return self.K @ z
 
 
-def solve(cols, y, p, C: float, a, tol: float, max_passes: int):
+def solve(cols, y, p, C: float, a, max_passes: int | None = None):
     """Minimize f from the feasible start a; return (a, v, up, low).
 
     cols is the column source of K (see the module docstring). up and low
@@ -50,19 +52,27 @@ def solve(cols, y, p, C: float, a, tol: float, max_passes: int):
     zigzags on near-singular Grams), takes the optimal step along the pair,
     and lands exactly on a bound it reaches. A pass reads columns i and j
     only. Ties pick the lowest index, so the result is deterministic. Stops
-    when max(v over up) - min(v over low) <= tol.
+    when max(v over up) - min(v over low) <= TOL and raises NonConvergence
+    after max_passes passes (None: 10 n^2). A kernel diagonal holding an inf
+    or a NaN raises NonFiniteInput first; for a positive semidefinite K,
+    |K_ij| <= sqrt(K_ii K_jj), so a finite diagonal bounds every entry.
     """
+    kd = cols.diag
+    if not np.isfinite(kd).all():
+        raise NonFiniteInput("kernel values on the training rows are not finite: "
+                             "the kernel overflows, or a row holds a NaN or an inf")
+    if max_passes is None:
+        max_passes = 10 * y.size * y.size
     hi = np.where(y > 0, C, 0.0)
     lo = hi - C
     z = y * a
-    kd = cols.diag
     v = -y * p - cols.dot(z)
     viol = np.inf
     for it in range(max_passes):
         up, low = z < hi, z > lo
         i = int(np.argmax(np.where(up, v, -np.inf)))
         viol = v[i] - v[int(np.argmin(np.where(low, v, np.inf)))]
-        if viol <= tol:
+        if viol <= TOL:
             return y * z, v, up, low
 
         gap = v[i] - v

@@ -35,7 +35,7 @@ OUTSIDE = "outside"
 class SvddTrainConfig:
     kernel: KernelSpec
     C: float = 1.0
-    max_passes: int | None = None   # default 10 * n^2, set at train time
+    max_passes: int | None = None   # None: the solver's default cap
 
 
 @dataclass
@@ -47,7 +47,7 @@ class SvddModel:
     r2: float
     self_term: float         # sum_ij a_i a_j K_ij, cached for scoring
     norm_stats: NormStats
-    kkt_tol = 1e-6           # not a field: the solver's stopping gap, the same for every model
+    kkt_tol = smo.TOL        # not a field: the solver's stopping gap, the same for every model
     boundary_tol = 1e-7      # not a field: relative half-width of decide()'s boundary band
 
 
@@ -74,24 +74,21 @@ def train(X_target, cfg: SvddTrainConfig, norm_stats: NormStats | None = None) -
     stats = norm_stats if norm_stats is not None else NormStats.identity(X.shape[1])
     Xn = normalize_apply(stats, X)
     G = gram(cfg.kernel, Xn)
-    max_passes = cfg.max_passes if cfg.max_passes is not None else 10 * n * n
-    tol = SvddModel.kkt_tol
     # -L(a) = 1/2 a'(2G)a - diag(G)'a; scaling by 2 in place is exact and
     # spares a second n x n matrix
     p = -G.diagonal()
     G *= 2.0
-    alphas = smo.solve(smo.Dense(G), np.ones(n), p, C, np.full(n, 1.0 / n),
-                       tol, max_passes)[0]
+    alphas = smo.solve(smo.Dense(G), np.ones(n), p, C, np.full(n, 1.0 / n), cfg.max_passes)[0]
     G *= 0.5
 
     Ka = G @ alphas
     self_term = float(alphas @ Ka)
     r2_each = G.diagonal() - 2.0 * Ka + self_term
-    unbounded = (alphas > tol) & (alphas < C - tol)
+    unbounded = (alphas > smo.TOL) & (alphas < C - smo.TOL)
     if unbounded.any():
         r2 = float(r2_each[unbounded].max())
     else:
-        positive = alphas > tol
+        positive = alphas > smo.TOL
         r2 = float(r2_each[positive].max()) if positive.any() else 0.0
     r2 = max(r2, 0.0)
 

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import tracemalloc
 
@@ -19,7 +20,13 @@ from welldesc import (
     train_lda,
 )
 from welldesc import baselines, smo
-from welldesc.errors import NonConvergence, SingleClassInput, SingularCovariance
+from welldesc.errors import (
+    DimensionMismatch,
+    NonConvergence,
+    NonFiniteInput,
+    SingleClassInput,
+    SingularCovariance,
+)
 from welldesc.kernels import gram
 
 from oracle import solve_box_qp
@@ -238,7 +245,35 @@ def test_svm_nonconvergence_with_tiny_budget():
     y = np.zeros(20, dtype=int)
     y[:10] = 1
     with pytest.raises(NonConvergence):
-        train_csvm(X, y, WIDE, 1.0, max_iter=1)
+        train_csvm(X, y, WIDE, 1.0, max_passes=1)
+
+
+def test_svm_rejects_labels_of_another_length():
+    X = np.arange(10.0).reshape(5, 2)
+    with pytest.raises(DimensionMismatch, match="does not match"):
+        train_csvm(X, np.array([LOW, HIGH, LOW, HIGH]), WIDE, 1.0)
+
+
+# case -> (kernel, NaN in one training row, the warning the kernel raises).
+# (x.x + 1e300)^3 overflows to inf; an inf offset is inf without overflowing.
+NON_FINITE = {
+    "offset-inf": (KernelSpec(family="polynomial", offset=math.inf), False, None),
+    "offset-1e300": (KernelSpec(family="polynomial", offset=1e300), False, "overflow encountered"),
+    "nan-row": (WIDE, True, None),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_FINITE))
+def test_svm_non_finite_kernel_rejected(case):
+    """A kernel that is inf or NaN on the training rows fails, not a NaN model."""
+    kernel, nan_row, warning = NON_FINITE[case]
+    X = np.random.default_rng(9).normal(size=(12, 3))
+    y = np.array([LOW, HIGH] * 6)
+    if nan_row:
+        X[4, 1] = math.nan
+    with pytest.warns(RuntimeWarning, match=warning) if warning else contextlib.nullcontext():
+        with pytest.raises(NonFiniteInput, match="not finite"):
+            train_csvm(X, y, kernel, 1.0)
 
 
 def test_svm_deterministic():

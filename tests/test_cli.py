@@ -1,3 +1,4 @@
+import contextlib
 import importlib.util
 import subprocess
 import sys
@@ -338,6 +339,54 @@ def test_bad_setting_fails_before_relief(tmp_path, monkeypatch, capsys, argv, me
     assert code == 2
     assert err.startswith("error: ") and message in err
     assert not calls and out == ""
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty file"),
+    ("\nwell,depth,f1,sw\nA,1,0.5,0.5\n", "empty file"),
+    ("well,depth,sw\nA,1,0.5\n", "need at least one feature column and a target column"),
+    ("depth,f1,sw\n1,0.5,0.5\n", "missing column 'well'"),
+], ids=["empty", "blank-first-line", "no-feature-column", "no-well-column"])
+def test_run_header_error_exits_two(tmp_path, capsys, text, message):
+    path = tmp_path / "h.csv"
+    path.write_text(text, encoding="utf-8")
+    code = welldesc.cli.main(["run", "--input", str(path), "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
+
+
+def _huge_f1_table(tmp_path):
+    """Two wells whose f1 near 1e308 overflows the z-score fit, so every normalized f1 is NaN."""
+    rows = [f"{w},{i},{1 + i / 10}e308,{i % 3},{0.3 if i % 2 else 0.9}" for w in "AB" for i in range(8)]
+    path = tmp_path / "huge.csv"
+    path.write_text("well,depth,f1,f2,sw\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    return path
+
+
+# case -> (input table, run flags, the warnings raised on the way)
+_NON_FINITE_RUNS = {
+    "offset-inf": (prepare_in_process, ["--kernel", "polynomial", "--offset", "inf"], None),
+    "offset-1e300": (prepare_in_process, ["--kernel", "polynomial", "--offset", "1e300"],
+                     "overflow encountered in power"),
+    "nan-row": (_huge_f1_table, [],
+                "overflow encountered in reduce|invalid value encountered in divide"),
+}
+
+
+@pytest.mark.parametrize("case", list(_NON_FINITE_RUNS))
+@pytest.mark.parametrize("classifier", ["svdd", "svm"])
+def test_run_non_finite_kernel_exits_two(tmp_path, capsys, classifier, case):
+    """A kernel that is inf or NaN on the training rows is an input error, not NaN models."""
+    table, flags, warning = _NON_FINITE_RUNS[case]
+    argv = ["run", "--input", str(table(tmp_path)), "--out", str(tmp_path), "--cost", "0.25",
+            "--relief-k", "2", "--classifiers", classifier, *flags]
+    capsys.readouterr()
+    with pytest.warns(RuntimeWarning, match=warning) if warning else contextlib.nullcontext():
+        code = welldesc.cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: kernel values on the training rows are not finite")
+    assert not list(tmp_path.glob("model_*")) and not (tmp_path / "report.csv").exists()
 
 
 def test_run_relief_k_too_large(tmp_path):

@@ -209,7 +209,7 @@ def _widen(text):
     return text.replace(" x=", " x=0,")
 
 
-# (model, edit of the saved text, key the error names). Each vector must have
+# (model, edit of the saved text, what the error says). Each vector must have
 # the model's width, so a bad file fails at load rather than in predict.
 _MALFORMED = {
     "svdd-one-vector-too-wide": ("svdd", lambda t: _swap_first(t, "alpha=", "alpha=0.1 x=1,2,3"), "alpha"),
@@ -219,7 +219,25 @@ _MALFORMED = {
     "lda-cov-row-too-wide": ("lda", lambda t: _swap_first(t, "cov=", "cov=1,0,0"), "cov"),
     "lda-cov-row-too-narrow": ("lda", lambda t: _swap_first(t, "cov=", "cov=1"), "cov"),
     "lda-cov-row-missing": ("lda", lambda t: _swap_first(t, "cov=", ""), "cov"),
+    "token-without-equals": ("lda", lambda t: _swap_first(t, "priors=", "priors 0.5,0.5"),
+                             "expected key=value tokens"),
+    "value-not-a-number": ("svm", lambda t: _swap_first(t, "bias=", "bias=high"),
+                           "'bias' lines: could not convert"),
+    "svdd-no-alpha-lines": ("svdd", lambda t: "\n".join(ln for ln in t.split("\n")
+                                                        if not ln.startswith("alpha=")),
+                            "no stored vectors"),
+    "kernel-line-garbled": ("svdd", lambda t: _swap_first(t, "kernel=", "kernel=gaussian wide=2"),
+                            "bad kernel line"),
+    "kernel-line-extra-fields": ("svm", lambda t: _swap_first(t, "kernel=", "kernel=gaussian width=2.0 degree=3"),
+                                 r"unexpected kernel fields \['degree'\]"),
+    "tag-only": ("svdd", lambda t: t.split("\n")[0] + "\n", "truncated model"),
 }
+
+
+def test_save_of_an_unknown_type_rejected(tmp_path):
+    with pytest.raises(TypeError, match="cannot persist NormStats"):
+        save_model(NormStats.identity(2), tmp_path / "m.txt")
+    assert not (tmp_path / "m.txt").exists()
 
 
 @pytest.mark.parametrize("case", list(_MALFORMED))

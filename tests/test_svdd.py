@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from welldesc import (
     radius2_of,
     train,
 )
-from welldesc.errors import EmptyTrainingSet, InfeasibleCost, NonConvergence
+from welldesc.errors import EmptyTrainingSet, InfeasibleCost, NonConvergence, NonFiniteInput
 from welldesc.kernels import gram
 
 import oracle
@@ -197,6 +198,27 @@ def test_nonconvergence_reports_violation():
     with pytest.raises(NonConvergence) as err:
         train(X, SvddTrainConfig(kernel=WIDE, C=0.2, max_passes=1))
     assert err.value.kkt_violation > 0.0
+
+
+# case -> (kernel, NaN in one training row, the warning the kernel raises).
+# (x.x + 1e300)^3 overflows to inf; an inf offset is inf without overflowing.
+NON_FINITE = {
+    "offset-inf": (KernelSpec(family="polynomial", offset=math.inf), False, None),
+    "offset-1e300": (KernelSpec(family="polynomial", offset=1e300), False, "overflow encountered"),
+    "nan-row": (WIDE, True, None),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_FINITE))
+def test_non_finite_kernel_rejected(case):
+    """A kernel that is inf or NaN on the training rows fails, not a NaN model."""
+    kernel, nan_row, warning = NON_FINITE[case]
+    X = np.random.default_rng(9).normal(size=(12, 3))
+    if nan_row:
+        X[4, 1] = math.nan
+    with pytest.warns(RuntimeWarning, match=warning) if warning else contextlib.nullcontext():
+        with pytest.raises(NonFiniteInput, match="not finite"):
+            train_simple(X, C=0.5, kernel=kernel)
 
 
 # -------------------------------------------- the solver before welldesc.smo
