@@ -4,12 +4,15 @@ A table is columnar: per-row well id, depth, a feature block, and one
 real-valued target in [0, 1]. NaN marks a missing cell. Within each well the
 rows are sorted by strictly increasing depth.
 
-load_table reads a UTF-8 CSV, with or without a byte-order mark, in fixed
-chunks of rows and turns each chunk into float arrays a column at a time;
-only a column that holds a blank, a U+2212 minus sign or bad text is parsed
-cell by cell. A faulty file is reported at its first faulty record in file
-order, with the same error a row-by-row read would raise, and at the file
-line where that record starts.
+load_table reads a UTF-8 CSV, with or without a byte-order mark: the csv
+module reads the header and numpy's C reader (np.loadtxt) the data rows in
+one pass. A file the C reader refuses, a blank cell or any fault, is read
+again by the csv path, in fixed chunks of rows that are turned into float
+arrays a column at a time; only a column that holds a blank, a U+2212 minus
+sign or bad text is parsed cell by cell. That path names every error: a
+faulty file is reported at its first faulty record in file order, with the
+same error a row-by-row read would raise, and at the file line where that
+record starts. Both paths load the same table bit for bit.
 
 write_table writes the file that load_table reads: a header row, then per
 row the well id with the csv module's minimal quoting and every value in
@@ -21,7 +24,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from itertools import compress, islice
+from itertools import chain, compress, islice
 
 import numpy as np
 
@@ -49,9 +52,9 @@ AUTO = None  # resample spacing: take the median observed step per well
 # it allocates the grid: a tiny step would otherwise ask for billions of rows
 MAX_GRID_ROWS = 10_000_000
 
-# csv rows that load_table parses, and write_table formats, at a time. The
-# chunk's cell strings and float columns are the per-row temporaries of both,
-# so this bounds them.
+# csv rows that load_table's csv path parses, and write_table formats, at a
+# time. The chunk's cell strings and float columns are the per-row
+# temporaries of both, so this bounds them.
 # 256 to 2048 rows load a 32,000-row file equally fast; 256 gave perfbench's
 # lowest peak resident set on all three workloads (walkthrough 73.4 MB
 # against 74.3 MB at 1024 rows), and 4096 rows raise the loader's traced peak
@@ -189,6 +192,94 @@ def _parse_chunk(path, rows: list, records: np.ndarray, width: int, col: dict,
     return list(map(str.strip, columns[col["well"]])), block
 
 
+def _rank(well_ids: list, well_rank: dict) -> np.ndarray:
+    """Each id's rank in first-appearance order; well_rank (id -> rank) gains the new ids."""
+    for w in dict.fromkeys(well_ids):
+        well_rank.setdefault(w, len(well_rank))
+    return np.fromiter(map(well_rank.__getitem__, well_ids), np.intp, count=len(well_ids))
+
+
+def _read_fast(fh, width: int, col: dict, names: list):
+    """Wells, per-row well ranks and the float block [depth, features..., target], or None.
+
+    fh stands just after the header record. np.loadtxt's C reader parses
+    every data row into one structured array (a float field per column in
+    names, an object field per other column), then the sentinel and NaN rule
+    of _parse_column applies. It has no error handling of its own: None,
+    and the csv path reads the file again, when the reader refuses the rows
+    (a blank cell, a U+2212 minus sign, a row too short or too long, any
+    text float() reads but the C parser does not), when no data row follows
+    the header, when a depth is missing or a target lies outside [0, 1], and
+    when the well column is also one of names.
+    """
+    numeric = [col[name] for name in names]
+    if col["well"] in numeric:
+        return None
+    first = next((line for line in fh if line.strip()), None)  # csv skips blank lines too
+    if first is None:  # and np.loadtxt would warn of an empty input
+        return None
+    # fields named by position, since header names may repeat
+    dtype = [(f"c{j}", float if j in numeric else object) for j in range(width)]
+    try:
+        rows = np.loadtxt(chain((first,), fh), dtype=dtype, delimiter=",", quotechar='"',
+                          comments=None, ndmin=1)
+    except ValueError:
+        return None
+    block = np.column_stack([rows[f"c{j}"] for j in numeric])
+    block[(block == SENTINEL) | np.isnan(block)] = math.nan
+    if (np.isnan(block[:, 0]) | (block[:, -1] < 0.0) | (block[:, -1] > 1.0)).any():
+        return None
+    well_rank: dict = {}
+    rank = _rank(list(map(str.strip, rows[f"c{col['well']}"].tolist())), well_rank)
+    return list(well_rank), rank, block
+
+
+def _read_csv(path, reader, width: int, col: dict, feature_names: list, target_name: str):
+    """Wells, per-row well ranks and the float block of the csv rows after the header.
+
+    Rows are parsed _CHUNK_ROWS at a time by _parse_chunk, which raises the
+    first faulty row's error.
+    """
+    well_rank: dict = {}
+    ranks, blocks = [], []
+    first_record = 2
+    while rows := list(islice(reader, _CHUNK_ROWS)):
+        records = np.arange(first_record, first_record + len(rows))
+        first_record += len(rows)
+        filled = np.fromiter(map(len, map(str.strip, map("".join, rows))), np.intp, count=len(rows)) > 0
+        if not filled.all():
+            rows, records = list(compress(rows, filled)), records[filled]
+        well_ids, block = _parse_chunk(path, rows, records, width, col, feature_names, target_name)
+        ranks.append(_rank(well_ids, well_rank))
+        blocks.append(block)
+    rank = np.concatenate(ranks) if ranks else np.empty(0, dtype=np.intp)
+    values = np.concatenate(blocks) if blocks else np.empty((0, len(feature_names) + 2))
+    return list(well_rank), rank, values
+
+
+def _sorted_table(path, wells: list, rank: np.ndarray, values: np.ndarray,
+                  feature_names: list, target_name: str) -> WellTable:
+    """The table of parsed rows, grouped by well rank and sorted by depth.
+
+    A depth repeated within a well raises MalformedFile for the first well
+    in well order.
+    """
+    order = np.lexsort((values[:, 0], rank))  # stable: equal depths keep file order
+    rank, depth = rank[order], values[order, 0]
+    dup = _first((rank[1:] == rank[:-1]) & (depth[1:] == depth[:-1]))
+    if dup < depth.size - 1:
+        raise MalformedFile(f"{path}: well {wells[rank[dup + 1]]!r} repeats depth {float(depth[dup + 1])}")
+    return WellTable(
+        wells=wells,
+        well_ids=np.array(wells)[rank],
+        depth=depth,
+        features=values[order, 1:-1],
+        target=values[order, -1],
+        feature_names=feature_names,
+        target_name=target_name,
+    )
+
+
 def load_table(path, schema: list | None = None) -> WellTable:
     """Read a well CSV whose header carries well, depth, and the schema columns.
 
@@ -197,14 +288,23 @@ def load_table(path, schema: list | None = None) -> WellTable:
     null sentinel are marked missing. Rows are grouped by well (first-appearance
     order) and sorted by depth; a duplicated depth within a well is an error.
 
-    The file is read in chunks of _CHUNK_ROWS csv rows, and each chunk is
-    parsed a column at a time, so per-row temporaries stay bounded whatever
-    the file size. The first faulty row in file order is the one reported,
-    at the file line where it starts: a short row, then within a row the
-    depth, the features in schema order and the target. A repeated depth is
-    reported once the whole file has parsed, for the first well in well
-    order. A leading UTF-8 byte-order mark is skipped; bytes that are not
-    UTF-8 raise MalformedFile.
+    The csv module reads the header. np.loadtxt's C reader then parses the
+    data rows in one pass (_read_fast): every file write_table writes without
+    a NaN takes this path. Where it refuses (a blank cell, a U+2212 minus
+    sign, a row too short or too long, a missing depth, a target outside
+    [0, 1], any other fault), the file is read again by the csv path: chunks
+    of _CHUNK_ROWS csv rows, each parsed a column at a time. A file with a
+    blank cell thus pays for one refused C pass first, up to about 0.03 s on
+    32,000 rows when the blank is in the last row. Both paths give the same
+    table bit for bit, and either keeps the loader's peak memory within a few
+    times the table's size whatever the file size.
+
+    The csv path names every error: the first faulty row in file order is
+    the one reported, at the file line where it starts: a short row, then
+    within a row the depth, the features in schema order and the target. A
+    repeated depth is reported once the whole file has parsed, for the first
+    well in well order. A leading UTF-8 byte-order mark is skipped; bytes that
+    are not UTF-8 raise MalformedFile.
     """
     if schema is not None and len(schema) < 2:
         raise MalformedFile("schema needs at least one feature column and a target column")
@@ -226,42 +326,15 @@ def load_table(path, schema: list | None = None) -> WellTable:
                     raise MalformedFile(f"{path}: missing column {name!r}")
             col = {name: header.index(name) for name in header}
 
-            well_rank: dict = {}
-            ranks, blocks = [], []
-            first_record = 2
-            while rows := list(islice(reader, _CHUNK_ROWS)):
-                records = np.arange(first_record, first_record + len(rows))
-                first_record += len(rows)
-                filled = np.fromiter(map(len, map(str.strip, map("".join, rows))), np.intp, count=len(rows)) > 0
-                if not filled.all():
-                    rows, records = list(compress(rows, filled)), records[filled]
-                well_ids, block = _parse_chunk(path, rows, records, len(header), col, feature_names, target_name)
-                for w in dict.fromkeys(well_ids):
-                    well_rank.setdefault(w, len(well_rank))
-                ranks.append(np.fromiter(map(well_rank.__getitem__, well_ids), np.intp, count=len(well_ids)))
-                blocks.append(block)
+            parsed = _read_fast(fh, len(header), col, ["depth", *schema])
+            if parsed is None:
+                fh.seek(0)
+                reader = csv.reader(fh)
+                next(reader)  # the header, checked above
+                parsed = _read_csv(path, reader, len(header), col, feature_names, target_name)
     except UnicodeDecodeError as exc:
         raise MalformedFile(f"{path}: not UTF-8 text ({exc.reason})") from exc
-
-    wells = list(well_rank)
-    rank = np.concatenate(ranks) if ranks else np.empty(0, dtype=np.intp)
-    values = np.concatenate(blocks) if blocks else np.empty((0, len(schema) + 1))
-    del blocks  # the chunks are copied into values; do not hold both to the end
-    order = np.lexsort((values[:, 0], rank))  # stable: equal depths keep file order
-    rank, depth = rank[order], values[order, 0]
-    dup = _first((rank[1:] == rank[:-1]) & (depth[1:] == depth[:-1]))
-    if dup < depth.size - 1:
-        raise MalformedFile(f"{path}: well {wells[rank[dup + 1]]!r} repeats depth {float(depth[dup + 1])}")
-
-    return WellTable(
-        wells=wells,
-        well_ids=np.array(wells)[rank],
-        depth=depth,
-        features=values[order, 1:-1],
-        target=values[order, -1],
-        feature_names=feature_names,
-        target_name=target_name,
-    )
+    return _sorted_table(path, *parsed, feature_names, target_name)
 
 
 def _format_value(v: float) -> str:
@@ -408,14 +481,22 @@ def normalize_fit(X, rows=None) -> NormStats:
     """Per-feature mean and standard deviation over the given rows.
 
     Population convention (divide by n). A constant feature gets std 1 so that
-    applying the stats maps it to zero instead of dividing by zero.
+    applying the stats maps it to zero instead of dividing by zero. A mean or
+    std that is not finite, because a feature holds a NaN or an inf or its
+    values overflow the sums (near 1e308), raises NonFiniteInput.
     """
     X = np.asarray(X, dtype=float)
     sub = X if rows is None else X[np.asarray(rows)]
     if sub.shape[0] == 0:
         raise EmptyRowSet("cannot fit normalization on zero rows")
-    mean = sub.mean(axis=0)
-    std = sub.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is raised below
+        mean = sub.mean(axis=0)
+        std = sub.std(axis=0)
+    bad = _first(~(np.isfinite(mean) & np.isfinite(std)))
+    if bad < mean.size:
+        raise NonFiniteInput(
+            f"feature scaling failed: column {bad} has mean {mean[bad]} and std {std[bad]} over the "
+            "fitted rows; its values hold a NaN or an inf, or overflow near 1e308")
     std = np.where(std == 0.0, 1.0, std)
     return NormStats(mean=mean, std=std)
 

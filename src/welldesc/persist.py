@@ -7,7 +7,8 @@ for bit. _FORMATS, keyed by model type, is the one table of formats: the tag
 line (KernelSpec.describe()) follows it, and the functions that dump the
 model's lines in file order and load it back. Scalars and vectors take a line
 each (C=, norm_mean=, ...), stored vectors one line apiece (alpha= x=,
-beta= y= x=, cov=); _rows reads both kinds and checks every vector's width.
+beta= y= x=, cov=); _rows reads both kinds, checks every vector's width and
+rejects a NaN or an infinite number, which no saved model holds.
 """
 
 from typing import Callable, NamedTuple
@@ -45,7 +46,8 @@ def _rows(fields, keys: tuple, path, width: int | None = None, count: int | None
     Each key but the last holds one number a line, returned as a 1-d array;
     the last holds `width` comma-separated numbers (the first line's count
     when None), returned as a (lines, width) matrix. count, when given, is the
-    number of lines needed. Each column is parsed in one pass.
+    number of lines needed. Each column is parsed in one pass; a NaN or an
+    infinite number raises MalformedFile naming its key.
     """
     lines = fields.get(keys[0], [])
     if count is not None and len(lines) != count:
@@ -62,6 +64,9 @@ def _rows(fields, keys: tuple, path, width: int | None = None, count: int | None
     except ValueError as exc:
         raise MalformedFile(f"{path}: {keys[0]!r} lines: {exc}") from exc
     columns = [np.array(v, dtype=float).reshape(len(lines), n) for v, n in zip(numbers, sizes)]
+    for key, column in zip(keys, columns):
+        if not np.isfinite(column).all():
+            raise MalformedFile(f"{path}: {key!r} holds a NaN or an infinite value")
     return [c.ravel() for c in columns[:-1]] + columns[-1:]
 
 

@@ -355,21 +355,10 @@ def test_run_header_error_exits_two(tmp_path, capsys, text, message):
     assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
 
 
-def _huge_f1_table(tmp_path):
-    """Two wells whose f1 near 1e308 overflows the z-score fit, so every normalized f1 is NaN."""
-    rows = [f"{w},{i},{1 + i / 10}e308,{i % 3},{0.3 if i % 2 else 0.9}" for w in "AB" for i in range(8)]
-    path = tmp_path / "huge.csv"
-    path.write_text("well,depth,f1,f2,sw\n" + "\n".join(rows) + "\n", encoding="utf-8")
-    return path
-
-
-# case -> (input table, run flags, the warnings raised on the way)
+# case -> (run flags, the warning raised on the way)
 _NON_FINITE_RUNS = {
-    "offset-inf": (prepare_in_process, ["--kernel", "polynomial", "--offset", "inf"], None),
-    "offset-1e300": (prepare_in_process, ["--kernel", "polynomial", "--offset", "1e300"],
-                     "overflow encountered in power"),
-    "nan-row": (_huge_f1_table, [],
-                "overflow encountered in reduce|invalid value encountered in divide"),
+    "offset-inf": (["--kernel", "polynomial", "--offset", "inf"], None),
+    "offset-1e300": (["--kernel", "polynomial", "--offset", "1e300"], "overflow encountered in power"),
 }
 
 
@@ -377,8 +366,8 @@ _NON_FINITE_RUNS = {
 @pytest.mark.parametrize("classifier", ["svdd", "svm"])
 def test_run_non_finite_kernel_exits_two(tmp_path, capsys, classifier, case):
     """A kernel that is inf or NaN on the training rows is an input error, not NaN models."""
-    table, flags, warning = _NON_FINITE_RUNS[case]
-    argv = ["run", "--input", str(table(tmp_path)), "--out", str(tmp_path), "--cost", "0.25",
+    flags, warning = _NON_FINITE_RUNS[case]
+    argv = ["run", "--input", str(prepare_in_process(tmp_path)), "--out", str(tmp_path), "--cost", "0.25",
             "--relief-k", "2", "--classifiers", classifier, *flags]
     capsys.readouterr()
     with pytest.warns(RuntimeWarning, match=warning) if warning else contextlib.nullcontext():
@@ -386,6 +375,22 @@ def test_run_non_finite_kernel_exits_two(tmp_path, capsys, classifier, case):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: kernel values on the training rows are not finite")
+    assert not list(tmp_path.glob("model_*")) and not (tmp_path / "report.csv").exists()
+
+
+@pytest.mark.parametrize("classifiers", ["svdd", "svm", "gnb,lda"])
+def test_run_overflowing_scaling_exits_two(tmp_path, capsys, recwarn, classifiers):
+    """f1 near 1e308 overflows the z-score fit: an input error naming the scaling, not NaN models."""
+    rows = [f"{w},{i},{1 + i / 10}e308,{i % 3},{0.3 if i % 2 else 0.9}" for w in "AB" for i in range(8)]
+    path = tmp_path / "huge.csv"
+    path.write_text("well,depth,f1,f2,sw\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    argv = ["run", "--input", str(path), "--out", str(tmp_path), "--cost", "0.25",
+            "--relief-k", "2", "--classifiers", classifiers]
+    code = welldesc.cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: feature scaling failed: column 0 has mean inf"), err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
     assert not list(tmp_path.glob("model_*")) and not (tmp_path / "report.csv").exists()
 
 

@@ -326,25 +326,34 @@ def _outcome(load, path, schema):
         return type(exc), str(exc)
 
 
+def load_by_csv_path(path, schema):
+    """load_table with the C reader refusing every file, so the csv path reads it."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataio, "_read_fast", lambda *args: None)
+        return load_table(path, schema)
+
+
 def assert_same_outcome(path, schema=SCHEMA):
     """load_table gives the reference's table bit for bit, or its exact error.
 
-    Returns "table" or the error's type name.
+    Both loader paths are checked: load_table as it reads the file, and with
+    the C reader forced to refuse it. Returns "table" or the error's type name.
     """
     want = _outcome(reference_load_table, path, schema)
-    got = _outcome(load_table, path, schema)
-    if isinstance(want, tuple):
-        assert got == want
-        return want[0].__name__
-    assert isinstance(got, WellTable), got
-    assert got.wells == want.wells
-    assert (got.feature_names, got.target_name) == (want.feature_names, want.target_name)
-    for name in ("well_ids", "depth", "features", "target"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
-        # stricter than array_equal(equal_nan=True): NaN bits and signed zeros too
-        assert a.tobytes() == b.tobytes(), name
-    return "table"
+    for load in (load_table, load_by_csv_path):
+        got = _outcome(load, path, schema)
+        if isinstance(want, tuple):
+            assert got == want, load.__name__
+            continue
+        assert isinstance(got, WellTable), (load.__name__, got)
+        assert got.wells == want.wells, load.__name__
+        assert (got.feature_names, got.target_name) == (want.feature_names, want.target_name)
+        for name in ("well_ids", "depth", "features", "target"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), (load.__name__, name)
+            # stricter than array_equal(equal_nan=True): NaN bits and signed zeros too
+            assert a.tobytes() == b.tobytes(), (load.__name__, name)
+    return want[0].__name__ if isinstance(want, tuple) else "table"
 
 
 def _synthetic_lines(tmp_path):
@@ -420,6 +429,12 @@ def test_byte_order_mark_matches_reference(tmp_path, monkeypatch, case, chunk):
         assert got == (want[0], want[1].replace("plain.csv", "marked.csv"))
 
 
+@pytest.mark.parametrize("rows", [["1,100,0.5", "2,101,0.25"], ["1,100,0.5", "x,101,0.25"]], ids=["numeric", "text"])
+def test_well_column_in_the_schema_matches_reference(tmp_path, rows):
+    """A schema may name the well column as a feature; the C reader leaves that file to the csv path."""
+    assert_same_outcome(write_csv(tmp_path / "w.csv", rows, header="well,depth,SW"), ["well", "SW"])
+
+
 def test_undecodable_file_is_malformed(tmp_path):
     path = tmp_path / "latin1.csv"
     path.write_bytes("well,depth,GR,NPHI,RHOB,DT,SW\nPuits \xe9,100,10,0.2,2.3,80,0.5\n".encode("latin-1"))
@@ -489,6 +504,74 @@ def test_random_faulty_files_match_reference(tmp_path, monkeypatch, chunk):
         seen[kind] = seen.get(kind, 0) + 1
     # the corpus exercises clean tables and both error types
     assert min(seen.get(k, 0) for k in ("table", "NonNumericCell", "MalformedFile")) >= 40, seen
+
+
+@pytest.mark.parametrize("n_wells, rows_per_well, skew", [(4, 500, 0.97), (8, 1000, 0.95), (8, 4000, 0.95)],
+                         ids=["walkthrough", "scale", "apply"])
+def test_written_tables_skip_the_csv_path(tmp_path, monkeypatch, n_wells, rows_per_well, skew):
+    """The C reader takes every table write_table writes without a NaN.
+
+    A silent fallback to the csv path would keep every other test green and
+    lose the speed, so here the csv path must not run at all.
+    """
+    t = gen_synthetic(SynthConfig(n_wells=n_wells, rows_per_well=rows_per_well, skew=skew,
+                                  n_features=6, seed=1))
+    write_table(t, tmp_path / "t.csv")
+
+    def csv_path(*args):
+        raise AssertionError("load_table fell back to the csv path")
+
+    monkeypatch.setattr(dataio, "_read_csv", csv_path)
+    back = load_table(tmp_path / "t.csv", t.feature_names + [t.target_name])
+    assert back.n_rows == t.n_rows and back.wells == t.wells
+
+
+# cells numpy's C reader takes as they stand, and the faults planted among them
+_C_CELLS = ["1.5", "-2", "0", "-0", "3e2", " 4.25 ", "\t7\t", "-999.25", "nan", "-nan", "inf", "-inf",
+            "1e400", "+.5", '"8.5"', '"1"0', "\u20035\u2003"]
+_C_WELLS = ["A", "B", " W1", "W1 ", '"W,1"', '"W\n1"', '"W""1"', '"W"1', "Puits \u00e9"]
+_C_TARGETS = ["0", "1", "0.25", "-0", "nan", "-999.25", '"0.5"']
+_C_FAULTS = [("depth", "nan"), ("depth", "-999.25"), ("depth", "100.0"), ("GR", ""), ("GR", "−1"),
+             ("GR", "1_0"), ("SW", "1.5"), ("SW", "-inf"), ("SW", " "), ("well", "W1,extra")]
+
+
+def _random_c_csv(rng):
+    """A small well CSV in any line ending, clean or with one fault, most of it C-readable."""
+    header = rng.choice(_HEADERS).split(",")
+    n = int(rng.integers(1, 25))
+    depths = [repr(100 + 0.5 * float(k)) for k in rng.permutation(n)]
+    rows = []
+    for i in range(n):
+        cells = {"well": rng.choice(_C_WELLS), "depth": depths[i], "SW": rng.choice(_C_TARGETS)}
+        rows.append([cells.get(h, rng.choice(_C_CELLS)) for h in header])
+    if rng.random() < 0.3:
+        column, value = _C_FAULTS[rng.integers(len(_C_FAULTS))]
+        rows[rng.integers(n)][header.index(column)] = value
+    if rng.random() < 0.1:
+        rows[rng.integers(n)].pop()
+    end = rng.choice(["\n", "\r\n", "\r"])
+    return ",".join(header) + end + end.join(map(",".join, rows)) + end
+
+
+def test_random_c_readable_files_match_reference(tmp_path, monkeypatch):
+    """The C reader's tables, and its refusals, agree with the row loop on quoting, spacing and line ends."""
+    taken = []
+
+    def read_fast(*args, _read_fast=dataio._read_fast):
+        parsed = _read_fast(*args)
+        taken.append(parsed is not None)
+        return parsed
+
+    monkeypatch.setattr(dataio, "_read_fast", read_fast)
+    rng = np.random.default_rng(15)
+    seen = {}
+    for k in range(300):
+        path = tmp_path / f"c{k}.csv"
+        path.write_bytes(_random_c_csv(rng).encode("utf-8"))
+        kind = assert_same_outcome(path)
+        seen[kind] = seen.get(kind, 0) + 1
+    assert sum(taken) >= 150 and seen.get("table", 0) >= 150, (sum(taken), seen)
+    assert min(seen.get(k, 0) for k in ("NonNumericCell", "MalformedFile")) >= 10, seen
 
 
 def test_load_peak_memory_stays_bounded(tmp_path):
@@ -729,6 +812,15 @@ def test_normalize_fit_on_row_subset():
 def test_normalize_fit_empty_rows():
     with pytest.raises(EmptyRowSet):
         normalize_fit(np.empty((0, 2)))
+
+
+@pytest.mark.parametrize("column", [[1.0e308, 1.7e308], [1e200, -1e200], [1.0, math.nan], [1.0, -math.inf]],
+                         ids=["mean-overflows", "std-overflows", "nan", "inf"])
+def test_normalize_fit_rejects_non_finite_stats(column):
+    X = np.column_stack([np.arange(2.0), column])
+    with np.errstate(all="raise"):  # and it warns of nothing on the way
+        with pytest.raises(NonFiniteInput, match="feature scaling failed: column 1 has mean"):
+            normalize_fit(X)
 
 
 # ---------------------------------------------------------------- histogram

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -210,7 +212,8 @@ def _widen(text):
 
 
 # (model, edit of the saved text, what the error says). Each vector must have
-# the model's width, so a bad file fails at load rather than in predict.
+# the model's width and every number must be finite, so a bad file fails at
+# load rather than in predict.
 _MALFORMED = {
     "svdd-one-vector-too-wide": ("svdd", lambda t: _swap_first(t, "alpha=", "alpha=0.1 x=1,2,3"), "alpha"),
     "svdd-vectors-wider-than-norm": ("svdd", _widen, "alpha"),
@@ -231,6 +234,12 @@ _MALFORMED = {
     "kernel-line-extra-fields": ("svm", lambda t: _swap_first(t, "kernel=", "kernel=gaussian width=2.0 degree=3"),
                                  r"unexpected kernel fields \['degree'\]"),
     "tag-only": ("svdd", lambda t: t.split("\n")[0] + "\n", "truncated model"),
+    "svdd-r2-nan": ("svdd", lambda t: _swap_first(t, "r2=", "r2=nan"), "'r2' holds a NaN or an infinite value"),
+    "svm-bias-inf": ("svm", lambda t: _swap_first(t, "bias=", "bias=inf"), "'bias' holds a NaN or an infinite value"),
+    "svdd-nan-in-a-vector": ("svdd", lambda t: re.sub(r" x=[^,]*", " x=nan", t, count=1),
+                             "'x' holds a NaN or an infinite value"),
+    "gnb-var-low-nan": ("gnb", lambda t: re.sub(r"(var_low=[^,]*),[^\n]*", r"\1,nan", t),
+                        "'var_low' holds a NaN or an infinite value"),
 }
 
 
@@ -244,9 +253,11 @@ def test_save_of_an_unknown_type_rejected(tmp_path):
 def test_malformed_vector_lines_rejected(tmp_path, case):
     kind, edit, key = _MALFORMED[case]
     m, repeats = _fitted(kind)
-    assert repeats > 0
+    assert repeats > 0 or kind == "gnb"  # a GNB file repeats no line
     path = tmp_path / "m.txt"
     save_model(m, path)
-    path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+    text = path.read_text(encoding="utf-8")
+    assert edit(text) != text
+    path.write_text(edit(text), encoding="utf-8")
     with pytest.raises(MalformedFile, match=key):
         load_model(path)
