@@ -247,6 +247,12 @@ def run_blind_tests(labeled, kernel: KernelSpec, cost: float, classifiers=None,
     of the other wells; the two-class baselines train on all of their rows.
     Feature normalization is fitted per split on the training wells and
     shared by every classifier.
+
+    Every classifier is scored on the split's test rows: the held-out well
+    plus the majority rows of the other wells. So each baseline's
+    specificity includes rows it was fitted on (74% of the test rows on the
+    README walkthrough); the hypersphere's does not. Sensitivity comes from
+    the held-out well's minority rows alone.
     """
     # name -> (trains on the minority rows only, train(X, y, stats), predict).
     # Built per call, so each entry is the module global the caller sees now.

@@ -304,7 +304,9 @@ def load_table(path, schema: list | None = None) -> WellTable:
     within a row the depth, the features in schema order and the target. A
     repeated depth is reported once the whole file has parsed, for the first
     well in well order. A leading UTF-8 byte-order mark is skipped; bytes that
-    are not UTF-8 raise MalformedFile.
+    are not UTF-8 raise MalformedFile, and so does a row the csv module
+    refuses (a cell over its field size limit of 131,072 characters), named
+    by the line the reader stopped on.
     """
     if schema is not None and len(schema) < 2:
         raise MalformedFile("schema needs at least one feature column and a target column")
@@ -334,6 +336,8 @@ def load_table(path, schema: list | None = None) -> WellTable:
                 parsed = _read_csv(path, reader, len(header), col, feature_names, target_name)
     except UnicodeDecodeError as exc:
         raise MalformedFile(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    except csv.Error as exc:  # a cell over the csv module's field size limit, say
+        raise MalformedFile(f"{path}: line {reader.line_num}: {exc}") from exc
     return _sorted_table(path, *parsed, feature_names, target_name)
 
 

@@ -16,6 +16,7 @@ Callers that evaluate many rows of one sample pass it in Fortran order
 (np.asfortranarray), which makes the feature-major view contiguous.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +68,8 @@ class KernelSpec:
 
     @staticmethod
     def parse(line: str) -> "KernelSpec":
-        """Inverse of describe()."""
+        """Inverse of describe(). A width or offset that is not finite is
+        malformed: no trainer writes one."""
         fields = {}
         for token in line.split():
             if "=" not in token:
@@ -78,14 +80,21 @@ class KernelSpec:
             family = fields.pop("kernel")
             if family == POLYNOMIAL:
                 spec = KernelSpec(family=family, degree=int(fields.pop("degree")),
-                                  offset=float(fields.pop("offset")))
+                                  offset=_finite(fields.pop("offset")))
             else:
-                spec = KernelSpec(family=family, width=float(fields.pop("width")))
+                spec = KernelSpec(family=family, width=_finite(fields.pop("width")))
         except (KeyError, ValueError) as exc:
             raise MalformedFile(f"bad kernel line {line!r}") from exc
         if fields:
             raise MalformedFile(f"unexpected kernel fields {sorted(fields)}")
         return spec
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
 
 
 def _feature_sum(T: np.ndarray) -> np.ndarray:

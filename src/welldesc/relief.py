@@ -99,30 +99,41 @@ def _nearest(Q, C, skip_self=False):
     never matches candidate i. Ties go to the lowest position, and the
     distance that decides is the per-row pass's, bit for bit.
 
-    All values lie in [0, 1]. The screen s = ‖c‖² − 2q·c differs from the
-    exact ‖q − c‖² − ‖q‖² by at most about 3(d+2)d·eps/2 whatever the BLAS
-    summation order, the per-row pass's sum of squares is within (d−1)d·eps/2
-    of exact, and its square root moves ties by at most d·eps. So the true
-    nearest row lies within 4(d+2)d·eps of the screen's minimum; ``tol`` is
-    16 times that. A row with no second candidate that close keeps the
-    screen's argmin, which then is the exact one.
+    All values lie in [0, 1], so ‖c‖² ≤ d. The screen s = ‖c‖² − 2q·c is one
+    (d+1)-term product, [−2q, 1]·[c, ‖c‖²], whose terms are at most 2 in
+    magnitude apart from ‖c‖²: in any BLAS order it lies within
+    (d+1)·3d·eps/2 of the product's exact value, and the computed ‖c‖² within
+    d²·eps/2 of the exact one, so s differs from the exact ‖q − c‖² − ‖q‖² by
+    at most (4d+3)d·eps/2. The per-row pass's sum of squares, with its
+    subtractions and squares, is within (d+2)d·eps/2 of exact, and its square
+    root moves ties by at most 2d·eps. So the true nearest row lies within
+    (5d+7)d·eps of the screen's minimum; ``tol`` is more than 12 times that.
+    A row with no second candidate that close keeps the screen's argmin,
+    which then is the exact one.
     """
     m, d = C.shape
-    CT = np.ascontiguousarray(C.T)  # feature-major: each product streams along m
-    cc = np.square(C).sum(axis=1)
+    # Candidates feature-major (C order) with ‖c‖² as a last row, so each
+    # product streams along m; queries as [−2q, 1]. Both scalings are exact.
+    CA = np.empty((d + 1, m))
+    CA[:d] = C.T
+    CA[d] = np.square(C).sum(axis=1)
+    QA = np.empty((len(Q), d + 1))
+    np.multiply(Q, -2.0, out=QA[:, :d])
+    QA[:, d] = 1.0
     tol = 64 * (d + 2) * d * np.finfo(float).eps
     rows = max(1, _BLOCK_ENTRIES // m)
+    r = np.arange(rows)
     pos = np.empty(len(Q), dtype=np.intp)
     for a in range(0, len(Q), rows):
         q = Q[a:a + rows]
-        r = np.arange(len(q))
-        s = _screen(q, CT, cc)
+        r = r[:len(q)]  # shorter in the last block only
+        s = _screen(QA[a:a + rows], CA)
         if skip_self:
-            s[r, a + r] = np.inf
+            s.flat[a::m + 1] = np.inf  # s[k, a + k] for every k: m + 1 apart
         j = s.argmin(axis=1)
         lo = s[r, j]
         s[r, j] = np.inf
-        for i in np.flatnonzero(s.min(axis=1) <= lo + tol):
+        for i in (s.min(axis=1) <= lo + tol).nonzero()[0]:
             s[i, j[i]] = lo[i]
             cand = np.flatnonzero(s[i] <= lo[i] + tol)
             j[i] = cand[np.sqrt(np.square(q[i] - C[cand]).sum(axis=1)).argmin()]
@@ -130,11 +141,9 @@ def _nearest(Q, C, skip_self=False):
     return pos
 
 
-def _screen(q, CT, cc):
-    """‖c‖² − 2q·c for every query row and candidate column: ‖q − c‖² less ‖q‖²."""
-    s = (-2.0 * q) @ CT
-    s += cc
-    return s
+def _screen(qa, CA):
+    """[−2q, 1]·[c, ‖c‖²] for every query row and candidate column: ‖q − c‖² less ‖q‖²."""
+    return qa @ CA
 
 
 def select_top(w: FeatureWeights, k: int = 4) -> list:

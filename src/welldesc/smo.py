@@ -67,25 +67,43 @@ def solve(cols, y, p, C: float, a, max_passes: int | None = None):
     lo = hi - C
     z = y * a
     v = -y * p - cols.dot(z)
+    # up and low, the indices whose z can still rise and fall, kept as
+    # additive masks: 0 where the index is free, -inf (up) or +inf (low)
+    # where it is not. They change only where z does, at i and j. The masked
+    # argmax and argmin of v are then one add each; v is finite, K's diagonal
+    # being finite, so adding 0 leaves it as it is.
+    up_off, low_off = np.where(z < hi, 0.0, -np.inf), np.where(z > lo, 0.0, np.inf)
+    masked, gap, curv, gain, diff = (np.empty_like(v) for _ in range(5))
+    excluded = np.empty(v.size, dtype=bool)
     viol = np.inf
     for it in range(max_passes):
-        up, low = z < hi, z > lo
-        i = int(np.argmax(np.where(up, v, -np.inf)))
-        viol = v[i] - v[int(np.argmin(np.where(low, v, np.inf)))]
+        i = int(np.add(v, up_off, out=masked).argmax())
+        vi = v[i]
+        viol = vi - v[int(np.add(v, low_off, out=masked).argmin())]
         if viol <= TOL:
-            return y * z, v, up, low
+            return y * z, v, up_off == 0.0, low_off == 0.0
 
-        gap = v[i] - v
+        np.subtract(vi, v, out=gap)
         Ki = cols.col(i)
-        curv = np.maximum(kd[i] + kd - 2.0 * Ki, 1e-12)
-        j = int(np.argmax(np.where(low & (gap > 0.0), gap * gap / curv, -np.inf)))
+        np.add(kd[i], kd, out=curv)
+        curv -= np.multiply(Ki, 2.0, out=diff)
+        np.maximum(curv, 1e-12, out=curv)
+        # masked still holds v over low and +inf elsewhere, so the j in low
+        # with gap > 0 are exactly those where masked < vi
+        np.greater_equal(masked, vi, out=excluded)
+        np.multiply(gap, gap, out=gain)
+        gain /= curv
+        np.putmask(gain, excluded, -np.inf)
+        j = int(gain.argmax())
 
-        room_i, room_j = hi[i] - z[i], z[j] - lo[j]
+        # the step's scalars as Python floats: the same IEEE arithmetic as
+        # numpy's scalars, at a fraction of the call cost
+        room_i, room_j = hi.item(i) - z.item(i), z.item(j) - lo.item(j)
         room = min(room_i, room_j)
-        quad = kd[i] + kd[j] - 2.0 * Ki[j]
-        delta = room if quad <= 0.0 else min(room, gap[j] / quad)
+        quad = kd.item(i) + kd.item(j) - 2.0 * Ki.item(j)
+        delta = room if quad <= 0.0 else min(room, gap.item(j) / quad)
         if delta <= 0.0:
-            return y * z, v, up, low  # box leaves no feasible motion
+            return y * z, v, up_off == 0.0, low_off == 0.0  # box leaves no feasible motion
         if delta >= room:
             # land exactly on whichever bound binds
             if room_i <= room_j:
@@ -98,7 +116,13 @@ def solve(cols, y, p, C: float, a, max_passes: int | None = None):
         else:
             z[i] += delta
             z[j] -= delta
-        v -= delta * (Ki - cols.col(j))
+        np.subtract(Ki, cols.col(j), out=diff)
+        diff *= delta
+        v -= diff
+        for k in (i, j):
+            zk = z.item(k)
+            up_off[k] = 0.0 if zk < hi.item(k) else -np.inf
+            low_off[k] = 0.0 if zk > lo.item(k) else np.inf
         if (it + 1) % 1024 == 0:
             v = -y * p - cols.dot(z)  # shed incremental rounding
 

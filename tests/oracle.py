@@ -3,11 +3,17 @@
 solve_dual_bruteforce solves the SVDD dual exactly with solve_box_qp, an
 interior-point method that also serves as the SVM dual's reference. It
 shares no code with the pairwise solver the package trains with.
+
+solve_pairwise is the package's pairwise solver in its plain form: each pass
+builds up, low and every temporary afresh. welldesc.smo.solve, which keeps
+them in buffers and updates the masks in place, must return its bytes.
 """
 
 import numpy as np
 
-from welldesc.errors import DimensionMismatch, InfeasibleCost, NonConvergence, WelldescError
+from welldesc.errors import (DimensionMismatch, InfeasibleCost, NonConvergence, NonFiniteInput,
+                             WelldescError)
+from welldesc.smo import TOL
 
 
 class OracleScaleExceeded(WelldescError):
@@ -128,3 +134,55 @@ def dual_objective(K, alphas) -> float:
     K = np.asarray(K, dtype=float)
     a = np.asarray(alphas, dtype=float)
     return float(K.diagonal() @ a - a @ K @ a)
+
+
+def solve_pairwise(cols, y, p, C: float, a, max_passes: int | None = None):
+    """welldesc.smo.solve, one allocation per temporary per pass."""
+    kd = cols.diag
+    if not np.isfinite(kd).all():
+        raise NonFiniteInput("kernel values on the training rows are not finite: "
+                             "the kernel overflows, or a row holds a NaN or an inf")
+    if max_passes is None:
+        max_passes = 10 * y.size * y.size
+    hi = np.where(y > 0, C, 0.0)
+    lo = hi - C
+    z = y * a
+    v = -y * p - cols.dot(z)
+    viol = np.inf
+    for it in range(max_passes):
+        up, low = z < hi, z > lo
+        i = int(np.argmax(np.where(up, v, -np.inf)))
+        viol = v[i] - v[int(np.argmin(np.where(low, v, np.inf)))]
+        if viol <= TOL:
+            return y * z, v, up, low
+
+        gap = v[i] - v
+        Ki = cols.col(i)
+        curv = np.maximum(kd[i] + kd - 2.0 * Ki, 1e-12)
+        j = int(np.argmax(np.where(low & (gap > 0.0), gap * gap / curv, -np.inf)))
+
+        room_i, room_j = hi[i] - z[i], z[j] - lo[j]
+        room = min(room_i, room_j)
+        quad = kd[i] + kd[j] - 2.0 * Ki[j]
+        delta = room if quad <= 0.0 else min(room, gap[j] / quad)
+        if delta <= 0.0:
+            return y * z, v, up, low  # box leaves no feasible motion
+        if delta >= room:
+            # land exactly on whichever bound binds
+            if room_i <= room_j:
+                z[j] -= room_i
+                z[i] = hi[i]
+            else:
+                z[i] += room_j
+                z[j] = lo[j]
+            delta = room
+        else:
+            z[i] += delta
+            z[j] -= delta
+        v -= delta * (Ki - cols.col(j))
+        if (it + 1) % 1024 == 0:
+            v = -y * p - cols.dot(z)  # shed incremental rounding
+
+    raise NonConvergence(
+        f"pairwise solver still violating KKT by {viol:.3e} after {max_passes} passes",
+        kkt_violation=float(viol))

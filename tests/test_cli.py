@@ -201,6 +201,18 @@ def test_prepare_ingest_error_exits_two(tmp_path, bad_row, message):
     assert "Traceback" not in r.stderr
 
 
+def test_prepare_cell_over_the_csv_field_limit_exits_two(tmp_path, capsys):
+    """A blank cell sends the file down the csv path, whose reader refuses a
+    well id over its 131,072-character field limit."""
+    path = tmp_path / "long.csv"
+    path.write_text("well,depth,f1,f2,sw\nA,1,0.5,,0.5\n" + "W" * 131_073 + ",2,0.6,2.1,0.9\n",
+                    encoding="utf-8")
+    code = welldesc.cli.main(["prepare", "--input", str(path), "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: line 3: field larger than field limit (131072)\n"
+
+
 # ----------------------------------------------------------------- features
 
 def test_features_outputs_sorted_weights(tmp_path):

@@ -231,6 +231,10 @@ _MALFORMED = {
                             "no stored vectors"),
     "kernel-line-garbled": ("svdd", lambda t: _swap_first(t, "kernel=", "kernel=gaussian wide=2"),
                             "bad kernel line"),
+    "kernel-offset-inf": ("svdd", lambda t: _swap_first(t, "kernel=", "kernel=polynomial degree=2 offset=inf"),
+                          "bad kernel line"),
+    "kernel-width-nan": ("svm", lambda t: _swap_first(t, "kernel=", "kernel=gaussian width=nan"),
+                         "bad kernel line"),
     "kernel-line-extra-fields": ("svm", lambda t: _swap_first(t, "kernel=", "kernel=gaussian width=2.0 degree=3"),
                                  r"unexpected kernel fields \['degree'\]"),
     "tag-only": ("svdd", lambda t: t.split("\n")[0] + "\n", "truncated model"),

@@ -291,15 +291,18 @@ def test_weights_survive_screen_error_within_half_its_bound(monkeypatch, build):
     any such rounding: the weights must not move."""
     rng = np.random.default_rng(48)
     screen = relief._screen
+    calls = []
 
-    def noisy(q, CT, cc):
-        d = CT.shape[0]
+    def noisy(qa, CA):
+        calls.append(len(qa))
+        d = CA.shape[0] - 1  # the last row of CA holds ‖c‖²
         half = 32 * (d + 2) * d * np.finfo(float).eps
-        return screen(q, CT, cc) + rng.uniform(-half, half, size=(len(q), CT.shape[1]))
+        return screen(qa, CA) + rng.uniform(-half, half, size=(len(qa), CA.shape[1]))
 
     monkeypatch.setattr(relief, "_screen", noisy)
     X, y = build()
     assert np.array_equal(relief_weights(X, y).weights, reference_relief(X, y))
+    assert sum(calls) >= len(X)  # every query row was screened through the noise
 
 
 def test_temporary_memory_stays_bounded():
