@@ -3,6 +3,12 @@
 All three train on the full imbalanced two-class sample, unlike the
 hypersphere which sees only the minority class. Ties in every decision rule
 go to HIGH, the majority class.
+
+svm_decision scores with the exact loop, `kernels.kernel_sum`. predict_csvm
+screens each block with `kernels.screen_sum` and re-scores with the exact
+loop only the rows whose screened margin lies within the screen's bound (64
+times the rounding bound derived in `kernels.screen_sum`) of 0, so its
+labels are the exact loop's.
 """
 
 from collections import OrderedDict
@@ -18,7 +24,7 @@ from .errors import (
     SingularCovariance,
 )
 from . import smo
-from .kernels import KernelSpec, kernel_diag, kernel_row
+from .kernels import KernelSpec, kernel_diag, kernel_row, kernel_sum, screen_sum
 from .kernels import gram  # noqa: F401  only for perfbench/spans.py
 
 _CLASSES = (LOW, HIGH)
@@ -200,17 +206,13 @@ def train_csvm(X, y, kernel: KernelSpec | None = None, C_svm: float = 1.0,
 
 
 def _margins(m: SvmModel, X) -> np.ndarray:
-    """Signed margin of every row of a raw-space query block.
+    """Signed margin of every row of a raw-space query block, by the exact loop.
 
-    Each support vector adds its weighted kernel values into one accumulator
-    over the whole block, read feature-major from a Fortran-ordered copy;
-    with no support vectors every margin is the bias.
+    The block is read feature-major from a Fortran-ordered copy; with no
+    support vectors every margin is the bias.
     """
     Xn = np.asfortranarray(normalize_apply(m.norm_stats, X))
-    acc = np.zeros(Xn.shape[0])
-    for w, sv in zip(m.betas * m.labels, m.X_sv):
-        acc += w * kernel_row(m.kernel, sv, Xn)
-    return acc + m.bias
+    return kernel_sum(m.kernel, m.betas * m.labels, m.X_sv, Xn) + m.bias
 
 
 def svm_decision(m: SvmModel, x) -> float:
@@ -223,5 +225,18 @@ def svm_decision(m: SvmModel, x) -> float:
 
 
 def predict_csvm(m: SvmModel, X) -> np.ndarray:
-    """LOW where the margin is strictly positive; sign zero goes to HIGH."""
-    return np.where(_margins(m, X) > 0.0, LOW, HIGH)
+    """LOW where the margin is strictly positive; sign zero goes to HIGH.
+
+    The margin is screened with `kernels.screen_sum`, whose sum lies within
+    err of the exact loop's. Adding the bias rounds to the nearest double
+    and keeps the sign, so a row whose screened margin exceeds err in size
+    has the exact margin's sign. The others, and any that is not finite, are
+    re-scored by the exact loop, as svm_decision scores them.
+    """
+    X = np.asarray(X, dtype=float)
+    acc, err = screen_sum(m.kernel, m.betas * m.labels, m.X_sv, normalize_apply(m.norm_stats, X))
+    margin = np.add(acc, m.bias, out=acc)
+    check = ~(np.abs(margin) > err)
+    if check.any():
+        margin[check] = _margins(m, X[check])
+    return np.where(margin > 0.0, LOW, HIGH)

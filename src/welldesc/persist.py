@@ -8,7 +8,10 @@ line (KernelSpec.describe()) follows it, and the functions that dump the
 model's lines in file order and load it back. Scalars and vectors take a line
 each (C=, norm_mean=, ...), stored vectors one line apiece (alpha= x=,
 beta= y= x=, cov=); _rows reads both kinds, checks every vector's width and
-rejects a NaN or an infinite number, which no saved model holds.
+rejects a NaN or an infinite number, which no saved model holds. _RANGES,
+beside the format table, holds per field kind (a scaling std, a prior, a
+GNB variance) the open range no trainer writes outside; _rows checks it in
+every format that has the field.
 """
 
 from typing import Callable, NamedTuple
@@ -47,7 +50,8 @@ def _rows(fields, keys: tuple, path, width: int | None = None, count: int | None
     the last holds `width` comma-separated numbers (the first line's count
     when None), returned as a (lines, width) matrix. count, when given, is the
     number of lines needed. Each column is parsed in one pass; a NaN or an
-    infinite number raises MalformedFile naming its key.
+    infinite number, or one outside the key's range in _RANGES, raises
+    MalformedFile naming its key.
     """
     lines = fields.get(keys[0], [])
     if count is not None and len(lines) != count:
@@ -67,6 +71,9 @@ def _rows(fields, keys: tuple, path, width: int | None = None, count: int | None
     for key, column in zip(keys, columns):
         if not np.isfinite(column).all():
             raise MalformedFile(f"{path}: {key!r} holds a NaN or an infinite value")
+        low, high = _RANGES.get(key, (-np.inf, np.inf))
+        if ((column <= low) | (column >= high)).any():
+            raise MalformedFile(f"{path}: {key!r} holds a value outside ({low}, {high})")
     return [c.ravel() for c in columns[:-1]] + columns[-1:]
 
 
@@ -159,6 +166,16 @@ _FORMATS = {
     LdaModel: _Format("LDA-MODEL v1", False, _dump_lda, _load_lda),
 }
 _BY_TAG = {fmt.tag: fmt for fmt in _FORMATS.values()}
+
+# Open range (low, high) of every number under a key, in every format that
+# has it: normalize_fit maps a zero std to 1, a two-class fit sees both
+# classes, and GNB floors its variances above 0.
+_RANGES = {
+    "norm_std": (0.0, np.inf),
+    "priors": (0.0, 1.0),
+    "var_low": (0.0, np.inf),
+    "var_high": (0.0, np.inf),
+}
 
 
 def save_model(model, path) -> None:

@@ -14,6 +14,13 @@ on-sphere points, and a query x scores
 train solves the dual with the pairwise solver the SVM baseline also uses
 (`welldesc.smo`), as the minimum of 1/2 a'(2K)a - diag(K)'a with every
 y_i = 1.
+
+radius2_of and decide score with the exact loop, `kernels.kernel_sum`.
+predict screens each block with `kernels.screen_sum` and re-scores with the
+exact loop only the rows whose screened R^2 lies within a tolerance of the
+band's lower limit r2 - tau: twice the screen's bound (64 times the rounding
+bound derived in `kernels.screen_sum`) plus the rounding of R^2's own two
+additions. Its labels are therefore the exact loop's.
 """
 
 from dataclasses import dataclass
@@ -23,8 +30,8 @@ import numpy as np
 from .dataio import HIGH, LOW, NormStats, normalize_apply
 from .errors import DimensionMismatch, EmptyTrainingSet, InfeasibleCost
 from . import smo
-from .kernels import KernelSpec, gram, kernel_diag, kernel_row
-from .kernels import eval_kernel  # noqa: F401  only for perfbench/spans.py
+from .kernels import KernelSpec, gram, kernel_diag, kernel_sum, screen_sum
+from .kernels import eval_kernel, kernel_row  # noqa: F401  only for perfbench/spans.py
 
 INSIDE = "inside"
 BOUNDARY = "boundary"
@@ -103,20 +110,20 @@ def train(X_target, cfg: SvddTrainConfig, norm_stats: NormStats | None = None) -
     )
 
 
-def _radius2(m: SvddModel, X) -> np.ndarray:
-    """R^2 of every row of a raw-space query block.
+def _live(m: SvddModel) -> tuple:
+    """Weights and vectors of the stored vectors with nonzero weight, the only ones that score."""
+    live = m.alphas != 0.0
+    return m.alphas[live], m.X_train[live]
 
-    Only vectors with nonzero weight contribute, each added into one
-    accumulator over the whole block, so memory stays O(rows) however many
-    vectors the model has. The block is normalized into Fortran order, so
-    each kernel_row reads it feature-major and contiguous.
+
+def _radius2(m: SvddModel, X) -> np.ndarray:
+    """R^2 of every row of a raw-space query block, by the exact loop.
+
+    The block is normalized into Fortran order, so each kernel_row reads it
+    feature-major and contiguous.
     """
     Xn = np.asfortranarray(normalize_apply(m.norm_stats, X))
-    acc = np.zeros(Xn.shape[0])
-    live = m.alphas != 0.0
-    for a, sv in zip(m.alphas[live], m.X_train[live]):
-        acc += a * kernel_row(m.kernel, sv, Xn)
-    return kernel_diag(m.kernel, Xn) - 2.0 * acc + m.self_term
+    return kernel_diag(m.kernel, Xn) - 2.0 * kernel_sum(m.kernel, *_live(m), Xn) + m.self_term
 
 
 def _band(m: SvddModel) -> tuple[float, float]:
@@ -150,6 +157,30 @@ def predict(m: SvddModel, X) -> np.ndarray:
 
     Boundary points join the majority: the sphere is fitted to the minority
     class, so a point that only just reaches the surface is not called scarce.
+
+    R^2 = diag - 2 acc + self_term is screened with acc from screen_sum, which
+    lies within err/64 of the exact loop's (err is 64 times the bound). The
+    two additions round in both the screened and the exact R^2, so the two
+    differ by at most 2 err/64 plus 4u(|diag| + 2|acc| + |self_term|) to
+    first order, u the unit roundoff. err is at least 64·18u·|acc|, so the
+    tolerance 2 err + 8u(|diag| + |self_term|) covers both with room to
+    spare. A row whose screened R^2 lies within it of lo, or is not finite,
+    is re-scored by the exact loop; the rest keep their screened side of lo.
+    Every step after the screen runs in place on its n-vectors.
     """
+    X = np.asarray(X, dtype=float)
+    Xn = normalize_apply(m.norm_stats, X)
     lo, _ = _band(m)
-    return np.where(_radius2(m, X) < lo, LOW, HIGH)
+    r2, tol = screen_sum(m.kernel, *_live(m), Xn)
+    diag = kernel_diag(m.kernel, Xn)
+    r2 *= -2.0          # diag - 2 acc + self_term, added in that order
+    r2 += diag
+    r2 += m.self_term
+    eight_u = 4.0 * np.finfo(float).eps
+    tol *= 2.0
+    tol += eight_u * abs(m.self_term)
+    tol += np.multiply(np.abs(diag, out=diag), eight_u, out=diag)
+    check = ~(np.abs(r2 - lo) > tol)
+    if check.any():
+        r2[check] = _radius2(m, X[check])
+    return np.where(r2 < lo, LOW, HIGH)

@@ -272,3 +272,16 @@ def test_blocked_gram_is_kernel_row_columns(monkeypatch, budget, n, rows):
         assert G.tobytes() == np.ascontiguousarray(G.T).tobytes()
         for i in range(n):
             assert G[:, i].tobytes() == kernel_row(spec, X[i], X).tobytes()
+
+
+@pytest.mark.parametrize("budget", [28, 40, None], ids=["ragged", "even", "default"])
+def test_blocked_diag_is_per_row_values(monkeypatch, budget):
+    """kernel_diag runs in blocks of rows; each value must still be the
+    point's eval_kernel(x, x), in blocks that end mid-sample or not."""
+    if budget is not None:
+        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", budget)
+    rng = np.random.default_rng(18)
+    X = np.asfortranarray(rng.normal(size=(30, 4)))
+    for spec in _SPECS:
+        diag = kernel_diag(spec, X)
+        assert all(diag[i] == eval_kernel(spec, x, x) for i, x in enumerate(X))

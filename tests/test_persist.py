@@ -244,6 +244,19 @@ _MALFORMED = {
                              "'x' holds a NaN or an infinite value"),
     "gnb-var-low-nan": ("gnb", lambda t: re.sub(r"(var_low=[^,]*),[^\n]*", r"\1,nan", t),
                         "'var_low' holds a NaN or an infinite value"),
+    # values no trainer writes, one case per field kind and bound
+    "svdd-norm-std-zero": ("svdd", lambda t: re.sub(r"norm_std=[^,\n]*", "norm_std=0", t),
+                           r"'norm_std' holds a value outside \(0.0, inf\)"),
+    "svm-norm-std-negative": ("svm", lambda t: re.sub(r"norm_std=[^,\n]*", "norm_std=-1", t),
+                              r"'norm_std' holds a value outside \(0.0, inf\)"),
+    "gnb-prior-zero": ("gnb", lambda t: _swap_first(t, "priors=", "priors=0,1"),
+                       r"'priors' holds a value outside \(0.0, 1.0\)"),
+    "lda-prior-above-one": ("lda", lambda t: _swap_first(t, "priors=", "priors=1.5,-0.5"),
+                            r"'priors' holds a value outside \(0.0, 1.0\)"),
+    "gnb-var-low-zero": ("gnb", lambda t: re.sub(r"var_low=[^,\n]*", "var_low=0", t),
+                         r"'var_low' holds a value outside \(0.0, inf\)"),
+    "gnb-var-high-negative": ("gnb", lambda t: re.sub(r"var_high=[^,\n]*", "var_high=-1", t),
+                              r"'var_high' holds a value outside \(0.0, inf\)"),
 }
 
 

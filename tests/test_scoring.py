@@ -5,7 +5,15 @@ vectors. The reference below is the per-row formula, written out here: each
 query's kernel row against every stored vector, reduced with a dot product.
 Kernel values are bit-identical between the two; only the order of the
 weighted sum differs, so scores agree to 1e-12 relative and labels exactly.
+
+The label paths (predict, predict_csvm) screen with one product per block
+and re-score exactly only the rows near their threshold; the tests at the
+end hold their labels to the exact loop's, at planted threshold rows and
+under screen noise of up to half the screen's bound.
 """
+
+import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,10 +24,12 @@ from welldesc import (
     LOW,
     KernelSpec,
     NormStats,
+    SvddModel,
     SvddTrainConfig,
     SvmModel,
     decide,
     eval_kernel,
+    gram,
     kernel_row,
     normalize_fit,
     predict,
@@ -33,6 +43,7 @@ from welldesc import (
     train_gnb,
     train_lda,
 )
+from welldesc import baselines, kernels, svdd
 from welldesc.baselines import _margins
 from welldesc.errors import DimensionMismatch
 from welldesc.svdd import _radius2
@@ -165,3 +176,157 @@ def test_query_shape_rejected(case):
         score_fn(m, Q)                      # 2-D single point
     with pytest.raises(DimensionMismatch):
         score_fn(m, Q[0, :2])               # wrong width
+
+
+# -- screened labels against the exact loop -----------------------------------
+
+def exact_svdd_labels(m, X):
+    return np.where(_radius2(m, X) < m.r2 - m.boundary_tol * max(1.0, m.r2), LOW, HIGH)
+
+
+def exact_svm_labels(m, X):
+    return np.where(_margins(m, X) > 0.0, LOW, HIGH)
+
+
+def planted_svdd(spec, C):
+    """A hypersphere with identity scaling, its r2 moved by whole ulps until
+    the band's lower limit r2 - tau is exactly the exact R^2 of its first
+    on-sphere training row. Queries: that row (exactly at the threshold,
+    so HIGH), every other training row, on the sphere or not, and random
+    rows."""
+    X, _, queries, _ = sample(31)
+    m = train(X, SvddTrainConfig(kernel=spec, C=C), NormStats.identity(3))
+    on_sphere = X[(m.alphas > m.kkt_tol) & (m.alphas < m.C - m.kkt_tol)]
+    assert len(on_sphere) >= 1
+    target = r2 = float(_radius2(m, on_sphere[:1])[0])
+    for _ in range(3):  # r2 - tau(r2) = target, to within a few ulps
+        r2 = target + m.boundary_tol * max(1.0, r2)
+    for _ in range(64):
+        lo = r2 - m.boundary_tol * max(1.0, r2)
+        if lo == target:
+            break
+        r2 = np.nextafter(r2, np.inf if lo < target else -np.inf)
+    m = dataclasses.replace(m, r2=float(r2))
+    assert m.r2 - m.boundary_tol * max(1.0, m.r2) == target
+    return m, np.vstack([on_sphere, X, queries])
+
+
+def planted_svm(spec, nudge):
+    """An SVM whose bias puts the first query's exact margin at 0.0 (nudge 0,
+    so HIGH) or at the smallest double above it (nudge 1, so LOW)."""
+    X, y, queries, stats = sample(33)
+    m = train_csvm(X, y, spec, 1.0, norm_stats=stats)
+    acc = float(_margins(dataclasses.replace(m, bias=0.0), queries[:1])[0])
+    bias = -acc
+    for _ in range(nudge):
+        bias = np.nextafter(bias, np.inf)
+    m = dataclasses.replace(m, bias=float(bias))
+    margin = float(_margins(m, queries[:1])[0])
+    assert margin == 0.0 if nudge == 0 else 0.0 < margin < 1e-15
+    return m, queries
+
+
+def planted_cases(spec):
+    """(model, predict, exact labels, queries, the planted first row's label)."""
+    cases = []
+    for C in (0.2, 1.0):
+        m, Q = planted_svdd(spec, C)
+        cases.append((m, predict, exact_svdd_labels, Q, HIGH))
+    for nudge, label in ((0, HIGH), (1, LOW)):
+        m, Q = planted_svm(spec, nudge)
+        cases.append((m, predict_csvm, exact_svm_labels, Q, label))
+    return cases
+
+
+def test_screened_labels_equal_exact_loop(spec):
+    for m, predict_fn, exact_fn, Q, label in planted_cases(spec):
+        got = predict_fn(m, Q)
+        assert np.array_equal(got, exact_fn(m, Q))
+        assert got[0] == label
+
+
+def test_non_finite_rows_get_the_exact_loop_labels(spec):
+    X, y, queries, stats = sample(34)
+    Q = queries[:6].copy()
+    Q[0, 0], Q[1, 1], Q[2, 2] = np.nan, np.inf, -np.inf
+    m = train(X, SvddTrainConfig(kernel=spec, C=0.5), stats)
+    svm = train_csvm(X, y, spec, 1.0, norm_stats=stats)
+    with np.errstate(invalid="ignore"):     # the exact loop's own inf - inf
+        assert np.array_equal(predict(m, Q), exact_svdd_labels(m, Q))
+        assert np.array_equal(predict_csvm(svm, Q), exact_svm_labels(svm, Q))
+
+
+@pytest.mark.parametrize("d", [1, 4, 9])
+def test_screen_within_its_derived_bound(spec, d):
+    """screen_sum's err is 64 times a bound it derives; the sum must lie
+    within the bound itself, for rows on top of a stored vector (where the
+    erbf square root is steepest), near it and far away."""
+    rng = np.random.default_rng(35 + d)
+    S = rng.normal(size=(60, d))
+    w = rng.normal(size=60)
+    X = np.vstack([S, S + 1e-9 * rng.normal(size=S.shape),
+                   rng.normal(size=(500, d)) * rng.choice([0.1, 1.0, 5.0], size=(500, 1))])
+    acc, err = kernels.screen_sum(spec, w, S, X)
+    exact = kernels.kernel_sum(spec, w, S, np.asfortranarray(X))
+    assert np.all(np.abs(acc - exact) <= err / kernels._SCREEN_SAFETY)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.family)
+def test_labels_survive_screen_error_within_half_its_bound(monkeypatch, spec):
+    """The screen's rounding depends on the BLAS kernel and thread count.
+    Noise of up to half of screen_sum's err stands in for any such rounding:
+    no label may move, and the planted threshold rows must still reach the
+    exact re-check."""
+    rng = np.random.default_rng(36)
+    screen = kernels.screen_sum
+    screened, rechecked = [], []
+
+    def noisy(spec, weights, S, X):
+        acc, err = screen(spec, weights, S, X)
+        screened.append(len(X))
+        return acc + rng.uniform(-0.5, 0.5, size=acc.shape) * err, err
+
+    def recorded(exact):
+        def wrapper(m, X):
+            rechecked.append(np.array(X, dtype=float))
+            return exact(m, X)
+        return wrapper
+
+    cases = planted_cases(spec)
+    monkeypatch.setattr(svdd, "screen_sum", noisy)
+    monkeypatch.setattr(baselines, "screen_sum", noisy)
+    monkeypatch.setattr(svdd, "_radius2", recorded(_radius2))
+    monkeypatch.setattr(baselines, "_margins", recorded(_margins))
+    for m, predict_fn, exact_fn, Q, _ in cases:
+        screened.clear()
+        rechecked.clear()
+        assert np.array_equal(predict_fn(m, Q), exact_fn(m, Q))
+        assert screened == [len(Q)]  # every row went through the noise
+        assert any((block == Q[0]).all(axis=1).any() for block in rechecked)
+
+
+def test_scoring_memory_stays_bounded():
+    """32,000 rows against 100 stored vectors. An (n, n_sv) block of kernel
+    values would take 25.6 MB and an (n, d+2) copy of the queries 1.5 MB;
+    the scorers keep the normalized queries (1 MB, 2 MB while normalizing),
+    a few n-vectors (256 KB each) and blocks of at most 256 KB."""
+    rng = np.random.default_rng(37)
+    n, d, n_sv = 32000, 4, 100
+    V = rng.normal(size=(n_sv, d))
+    stats = NormStats.identity(d)
+    X = rng.normal(size=(n, d))
+    alphas = np.full(n_sv, 1.0 / n_sv)
+    sphere = SvddModel(V, alphas, SPECS[0], 1.0, 0.5,
+                       float(alphas @ gram(SPECS[0], V) @ alphas), stats)
+    betas = rng.uniform(0.1, 1.0, size=n_sv)
+    svm = SvmModel(SPECS[0], 1.0, betas, np.where(rng.uniform(size=n_sv) < 0.5, 1.0, -1.0),
+                   V, 0.1, stats)
+    for model, predict_fn in ((sphere, predict), (svm, predict_csvm)):
+        predict_fn(model, X[:10])
+        tracemalloc.start()
+        try:
+            predict_fn(model, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.6e6, f"{predict_fn.__name__}: peak {peak / 1e6:.2f} MB"
