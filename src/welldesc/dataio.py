@@ -7,12 +7,11 @@ rows are sorted by strictly increasing depth.
 load_table reads a UTF-8 CSV, with or without a byte-order mark: the csv
 module reads the header and numpy's C reader (np.loadtxt) the data rows in
 one pass. A file the C reader refuses, a blank cell or any fault, is read
-again by the csv path, in fixed chunks of rows that are turned into float
-arrays a column at a time; only a column that holds a blank, a U+2212 minus
-sign or bad text is parsed cell by cell. That path names every error: a
-faulty file is reported at its first faulty record in file order, with the
-same error a row-by-row read would raise, and at the file line where that
-record starts. Both paths load the same table bit for bit.
+again by the csv path, one row at a time in file order: one float() call per
+schema cell, and only a row that holds a blank, a U+2212 minus sign or bad
+text is parsed cell by cell. That path names every error: a faulty file is
+reported at its first faulty row in file order, at the file line where that
+row starts. Both paths load the same table bit for bit.
 
 write_table writes the file that load_table reads: a header row, then per
 row the well id with the csv module's minimal quoting and every value in
@@ -23,8 +22,10 @@ chunk of rows at a time, one % template per row.
 import csv
 import io
 import math
+from array import array
 from dataclasses import dataclass, field
-from itertools import chain, compress, islice
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -52,13 +53,9 @@ AUTO = None  # resample spacing: take the median observed step per well
 # it allocates the grid: a tiny step would otherwise ask for billions of rows
 MAX_GRID_ROWS = 10_000_000
 
-# csv rows that load_table's csv path parses, and write_table formats, at a
-# time. The chunk's cell strings and float columns are the per-row
-# temporaries of both, so this bounds them.
-# 256 to 2048 rows load a 32,000-row file equally fast; 256 gave perfbench's
-# lowest peak resident set on all three workloads (walkthrough 73.4 MB
-# against 74.3 MB at 1024 rows), and 4096 rows raise the loader's traced peak
-# from 5.1 to 7.1 MB.
+# rows that write_table formats at a time. The chunk's stacked values, their
+# Python floats and its text lines are the writer's per-row temporaries, so
+# this bounds them: at 256 rows, tens of kilobytes.
 _CHUNK_ROWS = 256
 
 
@@ -114,82 +111,10 @@ class NormStats:
         return NormStats(np.zeros(d), np.ones(d))
 
 
-def _parse_column(cells) -> tuple:
-    """Floats of one column and the index of its first unparsable cell.
-
-    The index is len(cells) when every cell parses. Blank cells, the null
-    sentinel and NaN text become NaN. One C-level float() pass reads a clean
-    column; only a column where it raised goes cell by cell, stripped and
-    with U+2212 read as a minus sign, and stops at the first bad cell: the
-    cells after it stay NaN, since that row or an earlier one is reported.
-    """
-    n = len(cells)
-    bad = n
-    try:
-        values = np.fromiter(map(float, cells), float, count=n)
-    except ValueError:
-        values = np.full(n, math.nan)
-        for i, text in enumerate(cells):
-            text = text.strip().replace("−", "-")
-            try:
-                values[i] = float(text) if text else math.nan
-            except ValueError:
-                bad = i
-                break
-    values[(values == SENTINEL) | np.isnan(values)] = math.nan
-    return values, bad
-
-
 def _first(mask: np.ndarray) -> int:
     """Index of the first True in mask, or its length when there is none."""
     hits = np.flatnonzero(mask)
     return int(hits[0]) if hits.size else mask.size
-
-
-def _file_line(path, record: int) -> int:
-    """File line on which csv record number `record` (the header is 1) starts.
-
-    It differs from the record number once a quoted cell holds a newline.
-    Only a faulty file needs it, so this second read is on the error path.
-    """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        for _ in islice(reader, record - 1):
-            pass
-        return reader.line_num + 1
-
-
-def _parse_chunk(path, rows: list, records: np.ndarray, width: int, col: dict,
-                 feature_names: list, target_name: str) -> tuple:
-    """Stripped well ids and a float block [depth, features..., target] of csv rows.
-
-    Raises the error of the first faulty row, so a row is reported before
-    every later one, whichever check each fails. Within that row the depth
-    is checked first (not a number, then missing), then the features in
-    schema order and the target (not a number), then the target's range.
-    """
-    n_ok = _first(np.fromiter(map(len, rows), np.intp, count=len(rows)) < width)
-    columns = list(zip(*rows[:n_ok])) or [()] * width  # n_ok == 0: the first row is short
-    names = ["depth", *feature_names, target_name]
-    block = np.empty((n_ok, len(names)))
-    bads = []  # each column's first unparsable row
-    for j, name in enumerate(names):
-        block[:, j], bad_j = _parse_column(columns[col[name]])
-        bads.append(bad_j)
-    depth, target = block[:, 0], block[:, -1]
-    bad = min(*bads, _first(np.isnan(depth) | (target < 0.0) | (target > 1.0)))
-    if bad < n_ok:
-        line_no, cells = _file_line(path, int(records[bad])), rows[bad]
-        for j, name in enumerate(names):
-            text = cells[col[name]]
-            if bads[j] == bad:
-                raise NonNumericCell(line_no, name, text.strip().replace("−", "-"))
-            if j == 0 and math.isnan(depth[bad]):
-                raise NonNumericCell(line_no, name, text)
-        raise MalformedFile(f"{path}: line {line_no}: target {target[bad]} outside [0, 1]")
-    if n_ok < len(rows):
-        raise MalformedFile(f"{path}: line {_file_line(path, int(records[n_ok]))} has {len(rows[n_ok])} cells, expected {width}")
-    return list(map(str.strip, columns[col["well"]])), block
 
 
 def _rank(well_ids: list, well_rank: dict) -> np.ndarray:
@@ -205,7 +130,7 @@ def _read_fast(fh, width: int, col: dict, names: list):
     fh stands just after the header record. np.loadtxt's C reader parses
     every data row into one structured array (a float field per column in
     names, an object field per other column), then the sentinel and NaN rule
-    of _parse_column applies. It has no error handling of its own: None,
+    of the csv path applies. It has no error handling of its own: None,
     and the csv path reads the file again, when the reader refuses the rows
     (a blank cell, a U+2212 minus sign, a row too short or too long, any
     text float() reads but the C parser does not), when no data row follows
@@ -234,27 +159,63 @@ def _read_fast(fh, width: int, col: dict, names: list):
     return list(well_rank), rank, block
 
 
+def _parse_cells(cells: tuple, names: list, line_no: int) -> list:
+    """Floats of one row's schema cells, read one cell at a time.
+
+    Each cell is stripped and a U+2212 minus sign read as "-"; a blank cell
+    is NaN and any other text float() refuses raises NonNumericCell. A
+    missing depth (NaN or the sentinel) stops the read, so the caller
+    reports it before any later cell.
+    """
+    floats = []
+    for name, text in zip(names, cells):
+        text = text.strip().replace("−", "-")
+        try:
+            floats.append(float(text) if text else math.nan)
+        except ValueError:
+            raise NonNumericCell(line_no, name, text) from None
+        if floats[0] != floats[0] or floats[0] == SENTINEL:
+            break
+    return floats
+
+
 def _read_csv(path, reader, width: int, col: dict, feature_names: list, target_name: str):
     """Wells, per-row well ranks and the float block of the csv rows after the header.
 
-    Rows are parsed _CHUNK_ROWS at a time by _parse_chunk, which raises the
-    first faulty row's error.
+    One row at a time, in file order, so the first faulty row raises: a
+    short row, then within a row the depth (not a number, then missing), the
+    features in schema order and the target (not a number), then the
+    target's range. Each row is named by the file line it starts on.
     """
+    names = ["depth", *feature_names, target_name]
+    schema_cells = itemgetter(*(col[name] for name in names))
+    well = col["well"]
     well_rank: dict = {}
-    ranks, blocks = [], []
-    first_record = 2
-    while rows := list(islice(reader, _CHUNK_ROWS)):
-        records = np.arange(first_record, first_record + len(rows))
-        first_record += len(rows)
-        filled = np.fromiter(map(len, map(str.strip, map("".join, rows))), np.intp, count=len(rows)) > 0
-        if not filled.all():
-            rows, records = list(compress(rows, filled)), records[filled]
-        well_ids, block = _parse_chunk(path, rows, records, width, col, feature_names, target_name)
-        ranks.append(_rank(well_ids, well_rank))
-        blocks.append(block)
-    rank = np.concatenate(ranks) if ranks else np.empty(0, dtype=np.intp)
-    values = np.concatenate(blocks) if blocks else np.empty((0, len(feature_names) + 2))
-    return list(well_rank), rank, values
+    values, ranks = array("d"), array("q")
+    start = reader.line_num + 1
+    for row in reader:
+        line_no, start = start, reader.line_num + 1
+        if len(row) < width:
+            if not "".join(row).strip():  # a blank or comma-only row
+                continue
+            raise MalformedFile(f"{path}: line {line_no} has {len(row)} cells, expected {width}")
+        cells = schema_cells(row)
+        try:
+            floats = list(map(float, cells))
+        except ValueError:
+            if not "".join(row).strip():  # a comma-only row of full width
+                continue
+            floats = _parse_cells(cells, names, line_no)
+        depth, target = floats[0], floats[-1]
+        if depth != depth or depth == SENTINEL:
+            raise NonNumericCell(line_no, "depth", cells[0])
+        if not 0.0 <= target <= 1.0 and target == target and target != SENTINEL:
+            raise MalformedFile(f"{path}: line {line_no}: target {target} outside [0, 1]")
+        values.extend(floats)
+        ranks.append(well_rank.setdefault(row[well].strip(), len(well_rank)))
+    block = np.frombuffer(values).reshape(-1, len(names))
+    block[(block == SENTINEL) | np.isnan(block)] = math.nan
+    return list(well_rank), np.array(ranks, dtype=np.intp), block
 
 
 def _sorted_table(path, wells: list, rank: np.ndarray, values: np.ndarray,
@@ -292,12 +253,13 @@ def load_table(path, schema: list | None = None) -> WellTable:
     data rows in one pass (_read_fast): every file write_table writes without
     a NaN takes this path. Where it refuses (a blank cell, a U+2212 minus
     sign, a row too short or too long, a missing depth, a target outside
-    [0, 1], any other fault), the file is read again by the csv path: chunks
-    of _CHUNK_ROWS csv rows, each parsed a column at a time. A file with a
-    blank cell thus pays for one refused C pass first, up to about 0.03 s on
-    32,000 rows when the blank is in the last row. Both paths give the same
-    table bit for bit, and either keeps the loader's peak memory within a few
-    times the table's size whatever the file size.
+    [0, 1], any other fault), the file is read again by the csv path, one
+    row at a time (_read_csv). A 32,000-row file with one blank cell thus
+    loads in about 0.07-0.10 s against 0.03-0.04 s without it (2 cores,
+    Python 3.11): the refused C pass, up to 0.03 s when the blank is in the
+    last row, and then the row loop. Both paths give the same table bit for
+    bit, and either keeps the loader's peak memory within a few times the
+    table's size whatever the file size.
 
     The csv path names every error: the first faulty row in file order is
     the one reported, at the file line where it starts: a short row, then
@@ -511,7 +473,9 @@ def normalize_apply(stats: NormStats, X) -> np.ndarray:
     d = stats.mean.size
     if X.ndim != 2 or X.shape[1] != d:
         raise DimensionMismatch(f"expected a 2-d matrix of {d} features, got shape {X.shape}")
-    return (X - stats.mean) / stats.std
+    Z = X - stats.mean
+    Z /= stats.std  # in place: one (n, d) array, not two
+    return Z
 
 
 def histogram(values, bins: int):

@@ -62,8 +62,9 @@ class KernelSpec:
         object.__setattr__(self, "offset", float(self.offset))
         if self.family not in _FAMILIES:
             raise InvalidConfig(f"unknown kernel family {self.family!r}")
-        if self.family in (GAUSSIAN, ERBF) and not self.width > 0:
-            raise InvalidConfig("kernel width must be positive")
+        # the screen divides by width**2, which is 0.0 below about 1.5e-162
+        if self.family in (GAUSSIAN, ERBF) and not (self.width > 0 and self.width * self.width > 0):
+            raise InvalidConfig(f"kernel width must be positive with a nonzero square, got {self.width!r}")
         if self.family == POLYNOMIAL:
             if not 2 <= self.degree <= 10:
                 raise InvalidConfig("polynomial degree must lie in [2, 10]")
@@ -78,8 +79,8 @@ class KernelSpec:
 
     @staticmethod
     def parse(line: str) -> "KernelSpec":
-        """Inverse of describe(). A width or offset that is not finite is
-        malformed: no trainer writes one."""
+        """Inverse of describe(). A width or offset that is not finite, or a
+        width whose square is 0, is malformed: no trainer writes one."""
         fields = {}
         for token in line.split():
             if "=" not in token:
@@ -92,7 +93,7 @@ class KernelSpec:
                 spec = KernelSpec(family=family, degree=int(fields.pop("degree")),
                                   offset=_finite(fields.pop("offset")))
             else:
-                spec = KernelSpec(family=family, width=_finite(fields.pop("width")))
+                spec = KernelSpec(family=family, width=_width(fields.pop("width")))
         except (KeyError, ValueError) as exc:
             raise MalformedFile(f"bad kernel line {line!r}") from exc
         if fields:
@@ -104,6 +105,13 @@ def _finite(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"{text!r} is not finite")
+    return value
+
+
+def _width(text: str) -> float:
+    value = _finite(text)
+    if value * value == 0.0:
+        raise ValueError(f"{text!r} squares to 0")
     return value
 
 

@@ -450,6 +450,15 @@ def test_fault_after_quoted_newline_reports_file_line(tmp_path):
     assert (exc.value.line, exc.value.column, exc.value.text) == (5, "GR", "x")
 
 
+def test_fault_before_an_oversized_cell_is_reported_first(tmp_path):
+    """The csv path reads a row at a time, so a bad cell is named before a
+    later cell over the csv module's field size limit stops the reader."""
+    rows = ["W1,100,10,0.2,2.3,80,0.5", "W1,101,x,0.3,2.4,82,0.6", "W" * 131_073 + ",102,1,2,3,4,0.5"]
+    with pytest.raises(NonNumericCell) as exc:
+        load_table(write_csv(tmp_path / "case.csv", rows), SCHEMA)
+    assert (exc.value.line, exc.value.column, exc.value.text) == (3, "GR", "x")
+
+
 _WELLS = ["A", "B", " W1", "W1", "W1 "]
 _CELLS = ["1.5", "-2", "0", "-0", "3e2", " 4.25 ", "-999.25", "−7.5", "", "  ",
           "nan", "-nan", "inf", "-inf", "1_0", '"8.5"', "+.5", "\u20035\u2003"]
@@ -577,20 +586,25 @@ def test_random_c_readable_files_match_reference(tmp_path, monkeypatch):
 def test_load_peak_memory_stays_bounded(tmp_path):
     """32,000 rows of depth, six features and a target make a 2.2 MB table.
 
-    Loading it peaks at about 5 MB; the row loop, which keeps every cell as a
-    Python float until the end, peaks at about 15.5 MB.
+    Loading it peaks at about 5 MB, through the C reader and, with one blank
+    cell, through the csv path, which keeps each parsed row in one array of
+    floats; the reference row loop, which keeps every cell as a Python float
+    until the end, peaks at about 15.5 MB.
     """
     t = gen_synthetic(SynthConfig(n_wells=8, rows_per_well=4000, skew=0.95,
                                   n_features=6, seed=1))
-    path = tmp_path / "big.csv"
-    write_table(t, path)
-    tracemalloc.start()
-    try:
-        load_table(path, t.feature_names + [t.target_name])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
+    write_table(t, tmp_path / "clean.csv")
+    t.features[t.n_rows // 2, 0] = math.nan
+    write_table(t, tmp_path / "blank.csv")
+    for name, blanks in (("clean.csv", 0), ("blank.csv", 1)):
+        tracemalloc.start()
+        try:
+            back = load_table(tmp_path / name, t.feature_names + [t.target_name])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.isnan(back.features).sum() == blanks
+        assert peak < 8e6, f"{name}: peak {peak / 1e6:.1f} MB"
 
 
 # -------------------------------------------------------------- drop_invalid
@@ -800,6 +814,21 @@ def test_normalize_identity_stats_change_nothing():
     rng = np.random.default_rng(21)
     X = rng.normal(size=(5, 3))
     assert np.array_equal(normalize_apply(NormStats.identity(3), X), X)
+
+
+def test_normalize_apply_allocates_only_its_result():
+    """Z-scoring 32,000 x 4 rows holds the 1.02 MB result and no second (n, d) array."""
+    X = np.random.default_rng(3).normal(size=(32_000, 4))
+    stats = normalize_fit(X, np.arange(32_000))
+    want = (X - stats.mean) / stats.std
+    tracemalloc.start()
+    try:
+        got = normalize_apply(stats, X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == want.tobytes()
+    assert peak < 1.5 * X.nbytes, f"peak {peak / 1e6:.2f} MB"
 
 
 def test_normalize_fit_on_row_subset():

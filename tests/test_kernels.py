@@ -63,6 +63,11 @@ def test_width_must_be_positive():
         KernelSpec(width=0.0)
     with pytest.raises(InvalidConfig):
         KernelSpec(width=-1.5)
+    # positive, but its square underflows to 0.0, and scoring divides by it
+    for family in ("gaussian", "erbf"):
+        with pytest.raises(InvalidConfig):
+            KernelSpec(family=family, width=1e-200)
+    assert KernelSpec(width=1e-150).width == 1e-150
 
 
 def test_polynomial_parameter_ranges():
