@@ -13,6 +13,15 @@ text is parsed cell by cell. That path names every error: a faulty file is
 reported at its first faulty row in file order, at the file line where that
 row starts. Both paths load the same table bit for bit.
 
+The ingest chain load_table -> drop_invalid -> resample_uniform skips the
+work a clean, depth-ordered table does not need, and every result keeps the
+bytes the general path gives. Rows already grouped by well with strictly
+increasing depths are not sorted: the loaded depth, features and target are
+views of one float block. drop_invalid of a table with no missing cell
+returns a table that shares the input's arrays. resample_uniform always
+returns new arrays, and copies a well's values where its grid equals its
+observed depths instead of interpolating them.
+
 write_table writes the file that load_table reads: a header row, then per
 row the well id with the csv module's minimal quoting and every value in
 `.6g` form, an empty cell for NaN, each line ended by CRLF. It formats a
@@ -124,18 +133,35 @@ def _rank(well_ids: list, well_rank: dict) -> np.ndarray:
     return np.fromiter(map(well_rank.__getitem__, well_ids), np.intp, count=len(well_ids))
 
 
+def _float_block(rows: np.ndarray, fields: list) -> np.ndarray:
+    """The (n, len(fields)) float block of the named fields of rows, as a new array.
+
+    _read_fast lays the float fields out first in each record, in schema
+    order, so the block is one strided copy of the records' leading bytes.
+    A schema that repeats a column names one field twice: column_stack then.
+    """
+    if len(set(fields)) < len(fields):
+        return np.column_stack([rows[f] for f in fields])
+    floats = rows[fields]  # a view that leaves the object fields out, so it exports a buffer
+    return np.ndarray((rows.size, len(fields)), float, floats, 0, (rows.itemsize, 8)).copy()
+
+
 def _read_fast(fh, width: int, col: dict, names: list):
     """Wells, per-row well ranks and the float block [depth, features..., target], or None.
 
     fh stands just after the header record. np.loadtxt's C reader parses
-    every data row into one structured array (a float field per column in
-    names, an object field per other column), then the sentinel and NaN rule
-    of the csv path applies. It has no error handling of its own: None,
-    and the csv path reads the file again, when the reader refuses the rows
-    (a blank cell, a U+2212 minus sign, a row too short or too long, any
-    text float() reads but the C parser does not), when no data row follows
-    the header, when a depth is missing or a target lies outside [0, 1], and
-    when the well column is also one of names.
+    every data row into one structured array: a float field per column in
+    names, laid out first in the record in names order, and an object field
+    per other column. Then the sentinel and NaN rule of the csv path
+    applies. It has no error handling of its own: None, and the csv path
+    reads the file again, when the reader refuses the rows (a blank cell, a
+    U+2212 minus sign, a row too short or too long, any text float() reads
+    but the C parser does not), when no data row follows the header, when a
+    depth is missing or a target lies outside [0, 1], and when the well
+    column is also one of names.
+
+    Only the first raw id of each run of equal raw ids is stripped and
+    ranked: a run's rows share its rank.
     """
     numeric = [col[name] for name in names]
     if col["well"] in numeric:
@@ -143,20 +169,28 @@ def _read_fast(fh, width: int, col: dict, names: list):
     first = next((line for line in fh if line.strip()), None)  # csv skips blank lines too
     if first is None:  # and np.loadtxt would warn of an empty input
         return None
-    # fields named by position, since header names may repeat
-    dtype = [(f"c{j}", float if j in numeric else object) for j in range(width)]
+    # fields named by position, since header names may repeat; loadtxt fills
+    # them in file order wherever they lie in the record
+    floats = list(dict.fromkeys(numeric))
+    others = [j for j in range(width) if j not in floats]
+    offset = {j: 8 * k for k, j in enumerate(floats + others)}
+    dtype = np.dtype({"names": [f"c{j}" for j in range(width)],
+                      "formats": [float if j in floats else object for j in range(width)],
+                      "offsets": [offset[j] for j in range(width)], "itemsize": 8 * width})
     try:
         rows = np.loadtxt(chain((first,), fh), dtype=dtype, delimiter=",", quotechar='"',
                           comments=None, ndmin=1)
     except ValueError:
         return None
-    block = np.column_stack([rows[f"c{j}"] for j in numeric])
+    block = _float_block(rows, [f"c{j}" for j in numeric])
     block[(block == SENTINEL) | np.isnan(block)] = math.nan
     if (np.isnan(block[:, 0]) | (block[:, -1] < 0.0) | (block[:, -1] > 1.0)).any():
         return None
+    ids = rows[f"c{col['well']}"]
+    heads = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
     well_rank: dict = {}
-    rank = _rank(list(map(str.strip, rows[f"c{col['well']}"].tolist())), well_rank)
-    return list(well_rank), rank, block
+    head_rank = _rank(list(map(str.strip, ids[heads].tolist())), well_rank)
+    return list(well_rank), np.repeat(head_rank, np.diff(heads, append=ids.size)), block
 
 
 def _parse_cells(cells: tuple, names: list, line_no: int) -> list:
@@ -222,20 +256,27 @@ def _sorted_table(path, wells: list, rank: np.ndarray, values: np.ndarray,
                   feature_names: list, target_name: str) -> WellTable:
     """The table of parsed rows, grouped by well rank and sorted by depth.
 
-    A depth repeated within a well raises MalformedFile for the first well
-    in well order.
+    Rows already grouped by rank with strictly increasing depths are taken as
+    they stand: depth, features and target are views of values. Any other
+    order is sorted into new arrays, and a depth repeated within a well
+    raises MalformedFile for the first well in well order.
     """
-    order = np.lexsort((values[:, 0], rank))  # stable: equal depths keep file order
-    rank, depth = rank[order], values[order, 0]
-    dup = _first((rank[1:] == rank[:-1]) & (depth[1:] == depth[:-1]))
-    if dup < depth.size - 1:
-        raise MalformedFile(f"{path}: well {wells[rank[dup + 1]]!r} repeats depth {float(depth[dup + 1])}")
+    step = rank[1:] - rank[:-1]
+    if ((step > 0) | ((step == 0) & (values[1:, 0] > values[:-1, 0]))).all():
+        depth, features, target = values[:, 0], values[:, 1:-1], values[:, -1]
+    else:
+        order = np.lexsort((values[:, 0], rank))  # stable: equal depths keep file order
+        rank, depth = rank[order], values[order, 0]
+        dup = _first((rank[1:] == rank[:-1]) & (depth[1:] == depth[:-1]))
+        if dup < depth.size - 1:
+            raise MalformedFile(f"{path}: well {wells[rank[dup + 1]]!r} repeats depth {float(depth[dup + 1])}")
+        features, target = values[order, 1:-1], values[order, -1]
     return WellTable(
         wells=wells,
         well_ids=np.array(wells)[rank],
         depth=depth,
-        features=values[order, 1:-1],
-        target=values[order, -1],
+        features=features,
+        target=target,
         feature_names=feature_names,
         target_name=target_name,
     )
@@ -248,6 +289,10 @@ def load_table(path, schema: list | None = None) -> WellTable:
     column but well and depth, in header order. Empty cells and the -999.25
     null sentinel are marked missing. Rows are grouped by well (first-appearance
     order) and sorted by depth; a duplicated depth within a well is an error.
+    A file whose rows are already so ordered, with strictly increasing depths
+    in each well, as write_table writes them, is taken in file order without
+    a sort: the table's depth, features and target are then views of one
+    (n, 2 + d) float block. Any other order is sorted into new arrays.
 
     The csv module reads the header. np.loadtxt's C reader then parses the
     data rows in one pass (_read_fast): every file write_table writes without
@@ -255,11 +300,11 @@ def load_table(path, schema: list | None = None) -> WellTable:
     sign, a row too short or too long, a missing depth, a target outside
     [0, 1], any other fault), the file is read again by the csv path, one
     row at a time (_read_csv). A 32,000-row file with one blank cell thus
-    loads in about 0.07-0.10 s against 0.03-0.04 s without it (2 cores,
-    Python 3.11): the refused C pass, up to 0.03 s when the blank is in the
-    last row, and then the row loop. Both paths give the same table bit for
-    bit, and either keeps the loader's peak memory within a few times the
-    table's size whatever the file size.
+    loads in about 0.07-0.09 s against 0.023 s without it (2 cores,
+    Python 3.11, numpy 2.4): the refused C pass, up to 0.02 s when the
+    blank is in the last row, and then the row loop. Both paths give the
+    same table bit for bit, and either keeps the loader's peak memory within
+    a few times the table's size whatever the file size.
 
     The csv path names every error: the first faulty row in file order is
     the one reported, at the file line where it starts: a short row, then
@@ -362,10 +407,18 @@ def _subset(t: WellTable, idx: np.ndarray) -> WellTable:
 
 
 def drop_invalid(t: WellTable) -> WellTable:
-    """Remove every row with a missing feature or a missing target."""
+    """Remove every row with a missing feature or a missing target.
+
+    When every row is complete the result shares t's arrays and takes its
+    well list as it stands; otherwise it holds new arrays of the kept rows.
+    """
     keep = np.isfinite(t.features).all(axis=1) & np.isfinite(t.target)
     if not keep.any():
         raise EmptyResult("no rows with complete values")
+    if keep.all():
+        return WellTable(wells=list(t.wells), well_ids=t.well_ids, depth=t.depth,
+                         features=t.features, target=t.target,
+                         feature_names=list(t.feature_names), target_name=t.target_name)
     return _subset(t, np.flatnonzero(keep))
 
 
@@ -376,10 +429,15 @@ def resample_uniform(t: WellTable, spacing: float | None = AUTO) -> WellTable:
     runs from the first to the last observed depth; nothing is extrapolated.
     A well whose grid would exceed MAX_GRID_ROWS rows raises InvalidConfig.
     Run drop_invalid first: missing values would bleed into their neighbors.
+
+    Every well is checked before any output is allocated; the result holds
+    new arrays, filled well by well. A well whose grid equals its observed
+    depths takes its values as they stand, which is what np.interp returns
+    at each of its own sample points.
     """
     if spacing is not AUTO and not (spacing > 0 and math.isfinite(spacing)):
         raise InvalidConfig(f"spacing must be positive and finite, got {spacing}")
-    blocks = []
+    grids = []
     for w in t.wells:
         idx = t.rows_of(w)
         if idx.size < 2:
@@ -393,21 +451,32 @@ def resample_uniform(t: WellTable, spacing: float | None = AUTO) -> WellTable:
             raise InvalidConfig(
                 f"well {w!r}: depth spacing {step:g} makes {steps + 1:.3g} grid rows, "
                 f"over the cap of {MAX_GRID_ROWS:,}")
-        count = int(math.floor(steps)) + 1
-        grid = depths[0] + step * np.arange(count)
-        feats = np.column_stack([np.interp(grid, depths, t.features[idx, j])
-                                 for j in range(t.features.shape[1])])
-        tgt = np.interp(grid, depths, t.target[idx])
-        blocks.append((np.full(count, w, dtype=t.well_ids.dtype), grid, feats, tgt))
-    return WellTable(
+        grids.append((w, idx, depths, depths[0] + step * np.arange(int(math.floor(steps)) + 1)))
+
+    n = sum(grid.size for *_, grid in grids)
+    out = WellTable(
         wells=list(t.wells),
-        well_ids=np.concatenate([b[0] for b in blocks]),
-        depth=np.concatenate([b[1] for b in blocks]),
-        features=np.vstack([b[2] for b in blocks]),
-        target=np.concatenate([b[3] for b in blocks]),
+        well_ids=np.empty(n, dtype=t.well_ids.dtype),
+        depth=np.empty(n),
+        features=np.empty((n, t.features.shape[1])),
+        target=np.empty(n),
         feature_names=list(t.feature_names),
         target_name=t.target_name,
     )
+    start = 0
+    for w, idx, depths, grid in grids:
+        rows = slice(start, start + grid.size)
+        start = rows.stop
+        out.well_ids[rows] = w
+        out.depth[rows] = grid
+        if np.array_equal(grid, depths):
+            out.features[rows] = t.features[idx]
+            out.target[rows] = t.target[idx]
+            continue
+        for j in range(t.features.shape[1]):
+            out.features[rows, j] = np.interp(grid, depths, t.features[idx, j])
+        out.target[rows] = np.interp(grid, depths, t.target[idx])
+    return out
 
 
 def binarize_target(t: WellTable, threshold: float = 0.7) -> LabeledDataset:

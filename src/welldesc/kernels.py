@@ -42,6 +42,7 @@ POLYNOMIAL = "polynomial"
 ERBF = "erbf"
 
 _FAMILIES = (GAUSSIAN, POLYNOMIAL, ERBF)
+_TINY = float(np.finfo(float).tiny)  # the smallest normal float
 
 
 @dataclass(frozen=True)
@@ -62,9 +63,11 @@ class KernelSpec:
         object.__setattr__(self, "offset", float(self.offset))
         if self.family not in _FAMILIES:
             raise InvalidConfig(f"unknown kernel family {self.family!r}")
-        # the screen divides by width**2, which is 0.0 below about 1.5e-162
-        if self.family in (GAUSSIAN, ERBF) and not (self.width > 0 and self.width * self.width > 0):
-            raise InvalidConfig(f"kernel width must be positive with a nonzero square, got {self.width!r}")
+        # the screen divides by width**2, which is subnormal below about 1.5e-154
+        # (0.0 below about 1.5e-162): 1 / width**2 then overflows its operands
+        if self.family in (GAUSSIAN, ERBF) and not (self.width > 0 and self.width * self.width >= _TINY):
+            raise InvalidConfig(f"kernel width must be positive with a nonzero square that is not "
+                                f"subnormal, got {self.width!r}")
         if self.family == POLYNOMIAL:
             if not 2 <= self.degree <= 10:
                 raise InvalidConfig("polynomial degree must lie in [2, 10]")
@@ -80,7 +83,7 @@ class KernelSpec:
     @staticmethod
     def parse(line: str) -> "KernelSpec":
         """Inverse of describe(). A width or offset that is not finite, or a
-        width whose square is 0, is malformed: no trainer writes one."""
+        width whose square is 0 or subnormal, is malformed: no trainer writes one."""
         fields = {}
         for token in line.split():
             if "=" not in token:
@@ -110,8 +113,8 @@ def _finite(text: str) -> float:
 
 def _width(text: str) -> float:
     value = _finite(text)
-    if value * value == 0.0:
-        raise ValueError(f"{text!r} squares to 0")
+    if value * value < _TINY:
+        raise ValueError(f"{text!r} squares to 0 or a subnormal number")
     return value
 
 

@@ -341,8 +341,10 @@ def test_every_traced_name_exists():
     (["run", "--classifiers", " , "], "the classifier list is empty"),
     (["run", "--test-wells", ","], "the test well list is empty"),
     (["run", "--width", "1e-200"], "kernel width must be positive with a nonzero square"),
+    (["run", "--width", "1e-155"], "kernel width must be positive with a nonzero square that is not subnormal"),
 ], ids=["csvm-nan", "csvm-zero", "csvm-negative-unused", "run-k", "features-k",
-        "classifier", "well", "repeat", "classifier-empty", "well-empty", "width-underflow"])
+        "classifier", "well", "repeat", "classifier-empty", "well-empty", "width-underflow",
+        "width-subnormal-square"])
 def test_bad_setting_fails_before_relief(tmp_path, monkeypatch, capsys, argv, message):
     prepared = prepare_in_process(tmp_path)
     capsys.readouterr()

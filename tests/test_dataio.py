@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import welldesc.cli
 from welldesc import (
     HIGH,
     LOW,
@@ -38,6 +39,7 @@ from welldesc.errors import (
 )
 
 SCHEMA = ["GR", "NPHI", "RHOB", "DT", "SW"]
+_ARRAYS = ("well_ids", "depth", "features", "target")
 
 
 def write_csv(path, rows, header="well,depth,GR,NPHI,RHOB,DT,SW"):
@@ -348,7 +350,7 @@ def assert_same_outcome(path, schema=SCHEMA):
         assert isinstance(got, WellTable), (load.__name__, got)
         assert got.wells == want.wells, load.__name__
         assert (got.feature_names, got.target_name) == (want.feature_names, want.target_name)
-        for name in ("well_ids", "depth", "features", "target"):
+        for name in _ARRAYS:
             a, b = getattr(got, name), getattr(want, name)
             assert (a.dtype, a.shape) == (b.dtype, b.shape), (load.__name__, name)
             # stricter than array_equal(equal_nan=True): NaN bits and signed zeros too
@@ -365,8 +367,7 @@ def _synthetic_lines(tmp_path):
 
 
 def test_synthetic_table_matches_reference(tmp_path):
-    header, rows, schema = _synthetic_lines(tmp_path)
-    assert len(rows) % dataio._CHUNK_ROWS != 0     # a part-filled last chunk
+    *_, schema = _synthetic_lines(tmp_path)
     assert assert_same_outcome(tmp_path / "synthetic.csv", schema) == "table"
 
 
@@ -501,9 +502,7 @@ def _random_csv(rng):
     return ",".join(header) + "\n" + "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 3, 1024])
-def test_random_faulty_files_match_reference(tmp_path, monkeypatch, chunk):
-    monkeypatch.setattr(dataio, "_CHUNK_ROWS", chunk)
+def test_random_faulty_files_match_reference(tmp_path):
     rng = np.random.default_rng(2016)
     seen = {}
     for k in range(400):
@@ -535,6 +534,45 @@ def test_written_tables_skip_the_csv_path(tmp_path, monkeypatch, n_wells, rows_p
     assert back.n_rows == t.n_rows and back.wells == t.wells
 
 
+def test_ordered_table_loads_without_sorting(tmp_path, monkeypatch):
+    """Rows grouped by well with rising depths, as write_table writes them, need no sort."""
+    *_, schema = _synthetic_lines(tmp_path)
+
+    def lexsort(*args):
+        raise AssertionError("an ordered table was sorted")
+
+    monkeypatch.setattr(np, "lexsort", lexsort)
+    assert assert_same_outcome(tmp_path / "synthetic.csv", schema) == "table"
+
+
+def _taking_read_fast(monkeypatch):
+    """Patch _read_fast to record, per load, whether the C reader took the file."""
+    taken = []
+
+    def read_fast(*args, _read_fast=dataio._read_fast):
+        parsed = _read_fast(*args)
+        taken.append(parsed is not None)
+        return parsed
+
+    monkeypatch.setattr(dataio, "_read_fast", read_fast)
+    return taken
+
+
+@pytest.mark.parametrize("schema", [["DT", "NPHI", "GR", "SW"], ["GR", "GR", "SW"], ["depth", "RHOB", "SW"],
+                                    ["SW", "DT", "SW"]],
+                         ids=["out-of-header-order", "repeated-feature", "depth-as-feature",
+                              "target-as-feature"])
+def test_schema_order_and_repeats_match_reference(tmp_path, monkeypatch, schema):
+    """The C reader's float block follows the schema, in its order and with its repeats,
+    for rows in load order and for rows that need sorting."""
+    rows = ["W1,99,1e3,0.4,2.5,84,1", "W1,100,10,0.2,2.3,80,0.5", "W1,101,11,0.3,2.4,82,0.6",
+            "W2,5,1,-0,3,-999.25,0"]
+    taken = _taking_read_fast(monkeypatch)
+    for k, lines in enumerate((rows, rows[::-1])):
+        assert assert_same_outcome(write_csv(tmp_path / f"s{k}.csv", lines), schema) == "table"
+    assert taken == [True, True]
+
+
 # cells numpy's C reader takes as they stand, and the faults planted among them
 _C_CELLS = ["1.5", "-2", "0", "-0", "3e2", " 4.25 ", "\t7\t", "-999.25", "nan", "-nan", "inf", "-inf",
             "1e400", "+.5", '"8.5"', '"1"0', "\u20035\u2003"]
@@ -564,14 +602,7 @@ def _random_c_csv(rng):
 
 def test_random_c_readable_files_match_reference(tmp_path, monkeypatch):
     """The C reader's tables, and its refusals, agree with the row loop on quoting, spacing and line ends."""
-    taken = []
-
-    def read_fast(*args, _read_fast=dataio._read_fast):
-        parsed = _read_fast(*args)
-        taken.append(parsed is not None)
-        return parsed
-
-    monkeypatch.setattr(dataio, "_read_fast", read_fast)
+    taken = _taking_read_fast(monkeypatch)
     rng = np.random.default_rng(15)
     seen = {}
     for k in range(300):
@@ -605,6 +636,33 @@ def test_load_peak_memory_stays_bounded(tmp_path):
             tracemalloc.stop()
         assert np.isnan(back.features).sum() == blanks
         assert peak < 8e6, f"{name}: peak {peak / 1e6:.1f} MB"
+
+
+def test_ingest_chain_peak_memory_stays_bounded(tmp_path):
+    """load_table -> drop_invalid -> resample_uniform -> binarize_target of the
+    32,000-row table, after one warm-up pass, peaks at about 5.3 MB: the
+    loaded rows are taken in file order without a sort, the complete table
+    is shared rather than copied, and the resampled table is filled in
+    place. Sorting every load and stacking per-well blocks peaked at 6.6 MB.
+    """
+    t = gen_synthetic(SynthConfig(n_wells=8, rows_per_well=4000, skew=0.95,
+                                  n_features=6, seed=1))
+    write_table(t, tmp_path / "t.csv")
+    schema = t.feature_names + [t.target_name]
+    del t
+
+    def chain():
+        return binarize_target(resample_uniform(drop_invalid(load_table(tmp_path / "t.csv", schema))))
+
+    chain()
+    tracemalloc.start()
+    try:
+        data = chain()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert data.X.shape == (32_000, 6)
+    assert peak < 6.6e6, f"peak {peak / 1e6:.2f} MB"
 
 
 # -------------------------------------------------------------- drop_invalid
@@ -642,6 +700,31 @@ def test_drop_invalid_all_rows_missing(tmp_path):
         drop_invalid(t)
 
 
+def test_complete_table_is_shared_and_left_unchanged(tmp_path, monkeypatch):
+    """drop_invalid hands a complete table's arrays on as they are, so nothing
+    that prepare or run does after it may write into them."""
+    write_table(gen_synthetic(SynthConfig(seed=3)), tmp_path / "raw.csv")
+    loaded = []
+
+    def load(path, _load_table=welldesc.cli.load_table):
+        t = _load_table(path)
+        loaded.append((t, {name: getattr(t, name).tobytes() for name in _ARRAYS}))
+        return t
+
+    def drop(t, _drop_invalid=welldesc.cli.drop_invalid):
+        clean = _drop_invalid(t)
+        assert all(getattr(clean, name) is getattr(t, name) for name in _ARRAYS)
+        return clean
+
+    monkeypatch.setattr(welldesc.cli, "load_table", load)
+    monkeypatch.setattr(welldesc.cli, "drop_invalid", drop)
+    for argv in (["prepare", "--input", tmp_path / "raw.csv"], ["run", "--input", tmp_path / "prepared.csv"]):
+        assert welldesc.cli.main([*map(str, argv), "--out", str(tmp_path)]) == 0
+    assert len(loaded) == 2
+    for t, before in loaded:
+        assert {name: getattr(t, name).tobytes() for name in _ARRAYS} == before
+
+
 # ---------------------------------------------------------- resample_uniform
 
 def _one_well_table(depths, col, target):
@@ -671,6 +754,70 @@ def test_resample_identity_on_uniform_grid():
     assert np.array_equal(r.depth, t.depth)
     assert np.array_equal(r.features, t.features)
     assert np.array_equal(r.target, t.target)
+
+
+def _interp_each_well(t):
+    """resample_uniform's table by np.interp on every column of every well, stacked."""
+    parts = []
+    for w in t.wells:
+        idx = t.rows_of(w)
+        depths = t.depth[idx]
+        step = float(np.median(np.diff(depths)))
+        grid = depths[0] + step * np.arange(int(math.floor((depths[-1] - depths[0]) / step + 1e-9)) + 1)
+        columns = [t.features[idx, j] for j in range(t.features.shape[1])] + [t.target[idx]]
+        parts.append((np.full(grid.size, w), grid, *(np.interp(grid, depths, c) for c in columns)))
+    return (np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts]),
+            np.vstack([np.column_stack(p[2:-1]) for p in parts]), np.concatenate([p[-1] for p in parts]))
+
+
+def _resample_counting_interp(t):
+    """resample_uniform(t) and the number of np.interp calls it made."""
+    calls = []
+
+    def interp(*args, _interp=np.interp):
+        calls.append(1)
+        return _interp(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "interp", interp)
+        return resample_uniform(t), len(calls)
+
+
+def _two_well_table(depths):
+    n = len(depths)
+    rng = np.random.default_rng(7)
+    features = rng.normal(size=(2 * n, 3))
+    features[1, 0] = features[n + 2, 2] = -0.0
+    return WellTable(wells=["A", "B"], well_ids=np.array(["A"] * n + ["B"] * n),
+                     depth=np.concatenate([depths, 40.0 + 0.25 * np.arange(n)]),
+                     features=features, target=rng.uniform(size=2 * n),
+                     feature_names=["f1", "f2", "f3"], target_name="sw")
+
+
+def test_resample_on_grid_copies_what_interp_returns():
+    """Wells whose depths are their grid take their values without np.interp,
+    and the bytes are np.interp's, a -0.0 cell included."""
+    t = _two_well_table(1000.0 + 0.5 * np.arange(9))
+    want = _interp_each_well(t)
+    r, calls = _resample_counting_interp(t)
+    assert calls == 0
+    for name, w in zip(_ARRAYS, want):
+        assert getattr(r, name).tobytes() == w.tobytes(), name
+    assert np.signbit(r.features[[1, 11], [0, 2]]).all()
+
+
+def test_resample_one_ulp_off_grid_interpolates():
+    """One depth a unit in the last place off its grid point sends its well,
+    and only it, through np.interp."""
+    depths = 1000.0 + 0.5 * np.arange(9)
+    depths[4] = np.nextafter(depths[4], np.inf)
+    t = _two_well_table(depths)
+    want = _interp_each_well(t)
+    r, calls = _resample_counting_interp(t)
+    assert calls == t.features.shape[1] + 1
+    for name, w in zip(_ARRAYS, want):
+        assert getattr(r, name).tobytes() == w.tobytes(), name
+    assert r.depth[4] != t.depth[4]
 
 
 def test_resample_auto_uses_median_step():

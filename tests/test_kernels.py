@@ -63,11 +63,14 @@ def test_width_must_be_positive():
         KernelSpec(width=0.0)
     with pytest.raises(InvalidConfig):
         KernelSpec(width=-1.5)
-    # positive, but its square underflows to 0.0, and scoring divides by it
+    # positive, but its square underflows to 0.0 or to a subnormal number,
+    # and scoring divides by it
     for family in ("gaussian", "erbf"):
-        with pytest.raises(InvalidConfig):
-            KernelSpec(family=family, width=1e-200)
+        for width in (1e-200, 1e-160, 1e-155):
+            with pytest.raises(InvalidConfig):
+                KernelSpec(family=family, width=width)
     assert KernelSpec(width=1e-150).width == 1e-150
+    assert KernelSpec(width=1.5e-154).width == 1.5e-154
 
 
 def test_polynomial_parameter_ranges():
