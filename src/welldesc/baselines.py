@@ -73,10 +73,12 @@ def train_gnb(X, y, norm_stats: NormStats | None = None) -> GnbModel:
 def predict_gnb(m: GnbModel, X) -> np.ndarray:
     Xn = normalize_apply(m.norm_stats, X)
     scores = []
-    for c, _ in enumerate(_CLASSES):
-        mu, var = m.means[c], m.variances[c]
-        ll = -0.5 * (_LOG_2PI + np.log(var) + (Xn - mu) ** 2 / var).sum(axis=1)
-        scores.append(np.log(m.priors[c]) + ll)
+    # a term that overflows gives a log-likelihood of -inf, its limit
+    with np.errstate(over="ignore"):
+        for c, _ in enumerate(_CLASSES):
+            mu, var = m.means[c], m.variances[c]
+            ll = -0.5 * (_LOG_2PI + np.log(var) + (Xn - mu) ** 2 / var).sum(axis=1)
+            scores.append(np.log(m.priors[c]) + ll)
     return np.where(scores[0] > scores[1], LOW, HIGH)
 
 
@@ -212,7 +214,9 @@ def _margins(m: SvmModel, X) -> np.ndarray:
     support vectors every margin is the bias.
     """
     Xn = np.asfortranarray(normalize_apply(m.norm_stats, X))
-    return kernel_sum(m.kernel, m.betas * m.labels, m.X_sv, Xn) + m.bias
+    acc = kernel_sum(m.kernel, m.betas * m.labels, m.X_sv, Xn)
+    with np.errstate(over="ignore"):  # a margin that overflows keeps its sign
+        return acc + m.bias
 
 
 def svm_decision(m: SvmModel, x) -> float:
@@ -235,7 +239,8 @@ def predict_csvm(m: SvmModel, X) -> np.ndarray:
     """
     X = np.asarray(X, dtype=float)
     acc, err = screen_sum(m.kernel, m.betas * m.labels, m.X_sv, normalize_apply(m.norm_stats, X))
-    margin = np.add(acc, m.bias, out=acc)
+    with np.errstate(over="ignore"):  # a margin that overflows keeps its sign
+        margin = np.add(acc, m.bias, out=acc)
     check = ~(np.abs(margin) > err)
     if check.any():
         margin[check] = _margins(m, X[check])

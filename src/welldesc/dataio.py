@@ -62,6 +62,10 @@ AUTO = None  # resample spacing: take the median observed step per well
 # it allocates the grid: a tiny step would otherwise ask for billions of rows
 MAX_GRID_ROWS = 10_000_000
 
+# Smallest scaling std normalize_fit keeps: below it the variance is subnormal
+# (the feature's values differ by less than about 1e-154), and the std is 1.
+STD_FLOOR = math.sqrt(np.finfo(float).tiny)
+
 # rows that write_table formats at a time. The chunk's stacked values, their
 # Python floats and its text lines are the writer's per-row temporaries, so
 # this bounds them: at 256 rows, tens of kilobytes.
@@ -515,10 +519,12 @@ def split_leave_one_well_out(d: LabeledDataset, test_well) -> SplitPlan:
 def normalize_fit(X, rows=None) -> NormStats:
     """Per-feature mean and standard deviation over the given rows.
 
-    Population convention (divide by n). A constant feature gets std 1 so that
-    applying the stats maps it to zero instead of dividing by zero. A mean or
-    std that is not finite, because a feature holds a NaN or an inf or its
-    values overflow the sums (near 1e308), raises NonFiniteInput.
+    Population convention (divide by n). A constant feature, or one whose
+    std lies below STD_FLOOR, gets std 1 so that applying the stats maps it
+    near zero instead of dividing by zero or by the root of a subnormal
+    variance, which model files refuse. A mean or std that is not finite,
+    because a feature holds a NaN or an inf or its values overflow the sums
+    (near 1e308), raises NonFiniteInput.
     """
     X = np.asarray(X, dtype=float)
     sub = X if rows is None else X[np.asarray(rows)]
@@ -532,7 +538,7 @@ def normalize_fit(X, rows=None) -> NormStats:
         raise NonFiniteInput(
             f"feature scaling failed: column {bad} has mean {mean[bad]} and std {std[bad]} over the "
             "fitted rows; its values hold a NaN or an inf, or overflow near 1e308")
-    std = np.where(std == 0.0, 1.0, std)
+    std = np.where(std < STD_FLOOR, 1.0, std)
     return NormStats(mean=mean, std=std)
 
 

@@ -137,13 +137,17 @@ def _rows_core(spec: KernelSpec, xT: np.ndarray, YT: np.ndarray) -> np.ndarray:
     # whole query block and must match, value for value, the per-query call
     # kernel_row(spec, xq, X_sv). The Gram is exactly symmetric because
     # (a - b)^2 == (b - a)^2 and a * b == b * a in floating point.
+    # In gaussian and erbf an overflow gives an infinite distance, whose
+    # exp(-inf) = 0 is the kernel's limit, so it is silent there; an infinite
+    # polynomial value is no limit, and its overflow warns.
     if spec.family == POLYNOMIAL:
         return (_feature_sum(YT * xT) + spec.offset) ** spec.degree
-    D = YT - xT
-    d2 = _feature_sum(np.square(D, out=D))
-    if spec.family == GAUSSIAN:
-        return np.exp(-d2 / (spec.width * spec.width))
-    return np.exp(-np.sqrt(d2) / spec.width)
+    with np.errstate(over="ignore"):
+        D = YT - xT
+        d2 = _feature_sum(np.square(D, out=D))
+        if spec.family == GAUSSIAN:
+            return np.exp(-d2 / (spec.width * spec.width))
+        return np.exp(-np.sqrt(d2) / spec.width)
 
 
 def eval_kernel(spec: KernelSpec, x, y) -> float:
@@ -260,9 +264,7 @@ def screen_sum(spec: KernelSpec, weights, S, X) -> tuple:
     s2 = np.einsum("ij,ij->i", S, S)
     if rbf:
         inv = 1.0 / (spec.width * spec.width)
-        np.multiply(S.T, 2.0 * inv, out=SA[:d])
         SA[d] = -inv
-        np.multiply(s2, -inv, out=SA[d + 1])
     else:
         SA[:d] = S.T
         SA[d] = spec.offset
@@ -271,10 +273,13 @@ def screen_sum(spec: KernelSpec, weights, S, X) -> tuple:
     QA[:, -1] = 1.0
     P = np.empty((rows, m))
     acc = np.empty(n)
-    # An overflow or an inf - inf in the screen makes its row's err infinite
-    # or NaN, so the row is re-scored by the exact loop, which warns as it
-    # always has; the screen itself stays silent.
+    # An overflow or an inf - inf in the screen, here or in its operands,
+    # makes its row's err infinite or NaN, so the row is re-scored by the
+    # exact loop; the screen itself stays silent.
     with np.errstate(over="ignore", invalid="ignore"):
+        if rbf:
+            np.multiply(S.T, 2.0 * inv, out=SA[:d])
+            np.multiply(s2, -inv, out=SA[d + 1])
         x2 = np.einsum("ij,ij->i", X, X)
         for a in range(0, n, rows):
             r = min(rows, n - a)
@@ -331,10 +336,12 @@ def _screen_bound(spec: KernelSpec, x2, s2, w, d):
 def gram(spec: KernelSpec, X) -> np.ndarray:
     """Symmetric kernel matrix of the rows of X.
 
-    Built in blocks of rows, each one broadcast of its rows against every
-    row through a temporary of at most _BLOCK_ENTRIES entries (more only
-    when a single row needs them). Both triangles are computed, and G is
-    exactly symmetric; column i equals kernel_row(spec, X[i], X) bit for bit.
+    Built in blocks of rows, each one broadcast of its rows against the
+    rows from its first on through a temporary of at most _BLOCK_ENTRIES
+    entries (more only when a single row needs them): the upper triangle,
+    mirrored into the lower one. _rows_core gives K(a, b) and K(b, a) the
+    same bits, so G is exactly symmetric and column i equals
+    kernel_row(spec, X[i], X) bit for bit.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -344,5 +351,7 @@ def gram(spec: KernelSpec, X) -> np.ndarray:
     G = np.empty((n, n))
     rows = max(1, _BLOCK_ENTRIES // max(n * X.shape[1], 1))
     for a in range(0, n, rows):
-        G[a:a + rows] = _rows_core(spec, XT[:, a:a + rows, np.newaxis], XT[:, np.newaxis, :])
+        b = min(a + rows, n)
+        G[a:b, a:] = _rows_core(spec, XT[:, a:b, np.newaxis], XT[:, np.newaxis, a:])
+        G[b:, a:b] = G[a:b, b:].T
     return G

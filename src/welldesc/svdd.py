@@ -180,7 +180,8 @@ def predict(m: SvddModel, X) -> np.ndarray:
     tol *= 2.0
     tol += eight_u * abs(m.self_term)
     tol += np.multiply(np.abs(diag, out=diag), eight_u, out=diag)
-    check = ~(np.abs(r2 - lo) > tol)
+    with np.errstate(over="ignore"):  # R^2 - lo overflows only far outside the band, keeping its side
+        check = ~(np.abs(r2 - lo) > tol)
     if check.any():
         r2[check] = _radius2(m, X[check])
     return np.where(r2 < lo, LOW, HIGH)

@@ -957,6 +957,15 @@ def test_normalize_constant_column_gets_unit_std():
     assert np.all(normalize_apply(stats, X)[:, 0] == 0.0)
 
 
+def test_normalize_std_whose_square_is_subnormal_gets_unit_std():
+    """A feature whose values differ by less than about 1e-154 has a subnormal
+    variance; like a constant one it gets std 1, which model files accept."""
+    X = np.array([[0.0, 1.0], [1e-160, 2.0], [2e-160, 3.0]])
+    stats = normalize_fit(X)
+    assert stats.std[0] == 1.0 and stats.std[1] == X[:, 1].std()
+    assert normalize_fit(np.array([[0.0], [4e-154]])).std[0] == 2e-154
+
+
 def test_normalize_identity_stats_change_nothing():
     rng = np.random.default_rng(21)
     X = rng.normal(size=(5, 3))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -282,6 +283,26 @@ def test_blocked_gram_is_kernel_row_columns(monkeypatch, budget, n, rows):
             assert G[:, i].tobytes() == kernel_row(spec, X[i], X).tobytes()
 
 
+@pytest.mark.parametrize("budget, n", [(40, 7), (40, 5), (None, 150)])
+def test_gram_computes_the_upper_triangle_only(monkeypatch, budget, n):
+    """Each block of rows a:b is computed against the columns a: alone; its
+    lower-left part comes from the mirror, so no kernel value is computed twice
+    outside the blocks on the diagonal."""
+    if budget is not None:
+        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", budget)
+    rows = max(1, kernels._BLOCK_ENTRIES // (n * 4))
+    computed = []
+
+    def counting(spec, xT, YT, _core=kernels._rows_core):
+        out = _core(spec, xT, YT)
+        computed.append(out.size)
+        return out
+
+    monkeypatch.setattr(kernels, "_rows_core", counting)
+    gram(KernelSpec(width=1.3), np.random.default_rng(n).normal(size=(n, 4)))
+    assert computed == [(min(a + rows, n) - a) * (n - a) for a in range(0, n, rows)]
+
+
 @pytest.mark.parametrize("budget", [28, 40, None], ids=["ragged", "even", "default"])
 def test_blocked_diag_is_per_row_values(monkeypatch, budget):
     """kernel_diag runs in blocks of rows; each value must still be the
@@ -293,3 +314,34 @@ def test_blocked_diag_is_per_row_values(monkeypatch, budget):
     for spec in _SPECS:
         diag = kernel_diag(spec, X)
         assert all(diag[i] == eval_kernel(spec, x, x) for i, x in enumerate(X))
+
+
+@pytest.mark.parametrize("family", ["gaussian", "erbf"])
+@pytest.mark.parametrize("width", [1.5e-154, 2e-154, 3e-154, 4e-154])
+def test_widths_near_the_floor_compute_without_warnings(family, width):
+    """Near the width floor a squared distance over width**2, and the screen's
+    stored vectors times 2/width**2, overflow. exp(-inf) = 0 is the kernel's
+    value there, so every entry point stays silent and every value is 0 off the
+    diagonal."""
+    from welldesc import SvddTrainConfig, predict, predict_csvm, train, train_csvm
+    from welldesc.kernels import screen_sum
+
+    spec = KernelSpec(family=family, width=width)
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(30, 3)) * 3.0  # stored vectors with |s| > 2
+    y = np.array([0, 1] * 15)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        G = gram(spec, X)
+        row = kernel_row(spec, X[0], X)
+        acc, err = screen_sum(spec, np.ones(30), X, X)
+        exact = kernels.kernel_sum(spec, np.ones(30), X, X)
+        m = train(X[:15], SvddTrainConfig(kernel=spec, C=1.0))
+        labels = predict(m, X)
+        svm = train_csvm(X, y, spec, 1.0)
+        svm_labels = predict_csvm(svm, X)
+    assert np.array_equal(G, np.eye(30)) and np.array_equal(row, np.eye(30)[0])
+    assert np.array_equal(exact, np.ones(30))
+    # the screen's contract: within err/64 of the exact sum, or undecided
+    assert np.all((np.abs(acc - exact) <= err / 64) | ~np.isfinite(acc + err))
+    assert labels.shape == svm_labels.shape == (30,)
