@@ -26,6 +26,7 @@ with kernel_sum only the rows whose screened score lies within that bound
 of the decision threshold, so its labels equal the exact loop's bit for bit.
 """
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -137,17 +138,24 @@ def _rows_core(spec: KernelSpec, xT: np.ndarray, YT: np.ndarray) -> np.ndarray:
     # whole query block and must match, value for value, the per-query call
     # kernel_row(spec, xq, X_sv). The Gram is exactly symmetric because
     # (a - b)^2 == (b - a)^2 and a * b == b * a in floating point.
-    # In gaussian and erbf an overflow gives an infinite distance, whose
-    # exp(-inf) = 0 is the kernel's limit, so it is silent there; an infinite
-    # polynomial value is no limit, and its overflow warns.
+    # Callers run it under _errstate(spec), entered once around their loop.
     if spec.family == POLYNOMIAL:
         return (_feature_sum(YT * xT) + spec.offset) ** spec.degree
-    with np.errstate(over="ignore"):
-        D = YT - xT
-        d2 = _feature_sum(np.square(D, out=D))
-        if spec.family == GAUSSIAN:
-            return np.exp(-d2 / (spec.width * spec.width))
-        return np.exp(-np.sqrt(d2) / spec.width)
+    D = YT - xT
+    d2 = _feature_sum(np.square(D, out=D))
+    if spec.family == GAUSSIAN:
+        return np.exp(-d2 / (spec.width * spec.width))
+    return np.exp(-np.sqrt(d2) / spec.width)
+
+
+def _errstate(spec: KernelSpec):
+    """The error state _rows_core runs under. In gaussian and erbf an
+    overflow gives an infinite distance, whose exp(-inf) = 0 is the kernel's
+    limit, so it is silent there; an infinite polynomial value is no limit,
+    and its overflow warns."""
+    if spec.family == POLYNOMIAL:
+        return contextlib.nullcontext()
+    return np.errstate(over="ignore")
 
 
 def eval_kernel(spec: KernelSpec, x, y) -> float:
@@ -157,7 +165,8 @@ def eval_kernel(spec: KernelSpec, x, y) -> float:
     if x.ndim != 1 or x.shape != y.shape:
         raise DimensionMismatch(
             f"kernel arguments need matching 1-d shapes, got {x.shape} and {y.shape}")
-    return float(_rows_core(spec, x[:, np.newaxis], y[:, np.newaxis])[0])
+    with _errstate(spec):
+        return float(_rows_core(spec, x[:, np.newaxis], y[:, np.newaxis])[0])
 
 
 def kernel_row(spec: KernelSpec, x, Y) -> np.ndarray:
@@ -170,7 +179,8 @@ def kernel_row(spec: KernelSpec, x, Y) -> np.ndarray:
     if x.ndim != 1 or Y.ndim != 2 or Y.shape[1] != x.shape[0]:
         raise DimensionMismatch(
             f"expected (d,) and (n, d) arguments, got {x.shape} and {Y.shape}")
-    return _rows_core(spec, x[:, np.newaxis], Y.T)
+    with _errstate(spec):
+        return _rows_core(spec, x[:, np.newaxis], Y.T)
 
 
 def kernel_diag(spec: KernelSpec, X) -> np.ndarray:
@@ -184,24 +194,33 @@ def kernel_diag(spec: KernelSpec, X) -> np.ndarray:
         raise DimensionMismatch(f"expected a 2-d sample matrix, got shape {X.shape}")
     out = np.empty(X.shape[0])
     rows = max(1, _BLOCK_ENTRIES // max(X.shape[1], 1))
-    for a in range(0, X.shape[0], rows):
-        XT = X[a:a + rows].T
-        out[a:a + rows] = _rows_core(spec, XT, XT)
+    with _errstate(spec):
+        for a in range(0, X.shape[0], rows):
+            XT = X[a:a + rows].T
+            out[a:a + rows] = _rows_core(spec, XT, XT)
     return out
 
 
 def kernel_sum(spec: KernelSpec, weights, S, X) -> np.ndarray:
     """sum_i weights[i] * K(S[i], x) of every row x of X, the exact loop.
 
-    One kernel_row per stored vector over the whole block, each weighted
-    row added into one accumulator in vector order from zero, so memory
-    stays O(rows) however many vectors there are; with no vectors every sum
-    is 0. Rows never mix: a row's sum is the same bytes in any block. A
-    Fortran-ordered X is read feature-major and contiguous.
+    One row of kernel_row's values per stored vector over the whole block,
+    all under one error state, each weighted row added into one accumulator
+    in vector order from zero, so memory stays O(rows) however many vectors
+    there are; with no vectors every sum is 0. Rows never mix: a row's sum
+    is the same bytes in any block. A Fortran-ordered X is read
+    feature-major and contiguous.
     """
+    X = np.asarray(X, dtype=float)
+    S = np.asarray(S, dtype=float)
+    if X.ndim != 2 or S.ndim != 2 or S.shape[1] != X.shape[1]:
+        raise DimensionMismatch(
+            f"expected (m, d) and (n, d) arguments, got {S.shape} and {X.shape}")
+    XT = X.T
     acc = np.zeros(X.shape[0])
-    for w, s in zip(weights, S):
-        acc += w * kernel_row(spec, s, X)
+    with _errstate(spec):
+        for w, s in zip(weights, S):
+            acc += w * _rows_core(spec, s[:, np.newaxis], XT)
     return acc
 
 
@@ -350,8 +369,9 @@ def gram(spec: KernelSpec, X) -> np.ndarray:
     XT = np.ascontiguousarray(X.T)
     G = np.empty((n, n))
     rows = max(1, _BLOCK_ENTRIES // max(n * X.shape[1], 1))
-    for a in range(0, n, rows):
-        b = min(a + rows, n)
-        G[a:b, a:] = _rows_core(spec, XT[:, a:b, np.newaxis], XT[:, np.newaxis, a:])
-        G[b:, a:b] = G[a:b, b:].T
+    with _errstate(spec):
+        for a in range(0, n, rows):
+            b = min(a + rows, n)
+            G[a:b, a:] = _rows_core(spec, XT[:, a:b, np.newaxis], XT[:, np.newaxis, a:])
+            G[b:, a:b] = G[a:b, b:].T
     return G

@@ -345,3 +345,20 @@ def test_widths_near_the_floor_compute_without_warnings(family, width):
     # the screen's contract: within err/64 of the exact sum, or undecided
     assert np.all((np.abs(acc - exact) <= err / 64) | ~np.isfinite(acc + err))
     assert labels.shape == svm_labels.shape == (30,)
+
+
+@pytest.mark.parametrize("entry", ["eval_kernel", "kernel_row", "kernel_diag", "kernel_sum", "gram"])
+def test_polynomial_overflow_still_warns(entry):
+    """Every entry point enters the kernels' error state once around its own
+    loop; an overflowing polynomial value is no kernel limit and must warn."""
+    spec = KernelSpec(family="polynomial", degree=3, offset=1e300)
+    X = np.ones((3, 2))
+    calls = {
+        "eval_kernel": lambda: eval_kernel(spec, X[0], X[1]),
+        "kernel_row": lambda: kernel_row(spec, X[0], X),
+        "kernel_diag": lambda: kernel_diag(spec, X),
+        "kernel_sum": lambda: kernels.kernel_sum(spec, np.ones(3), X, X),
+        "gram": lambda: gram(spec, X),
+    }
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        calls[entry]()

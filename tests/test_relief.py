@@ -1,4 +1,6 @@
+import threading
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -197,13 +199,15 @@ def _case_constant_feature():
 
 def _case_ragged_last_block():
     rng = np.random.default_rng(44)
-    y = np.array([LOW] * 290 + [HIGH] * 10)
+    y = np.array([LOW] * 400 + [HIGH] * 10)
     rng.shuffle(y)
     n_low = int((y == LOW).sum())
-    # the majority's hit search takes blocks of 32768 // n_low rows, which
-    # must not divide its row count, so the last block is a short one
-    assert n_low % max(1, _BLOCK_ENTRIES // n_low) != 0
-    return rng.normal(size=(300, 6)), y
+    # the majority's hit search takes blocks of _BLOCK_ENTRIES // n_low rows:
+    # at least two blocks, and a row count they do not divide, so the last
+    # block is a short one
+    rows = _BLOCK_ENTRIES // n_low
+    assert 1 <= rows < n_low and n_low % rows != 0
+    return rng.normal(size=(410, 6)), y
 
 
 def _case_one_feature():
@@ -279,9 +283,59 @@ _BIT_IDENTITY_CASES = pytest.mark.parametrize("build", [
 
 
 @_BIT_IDENTITY_CASES
-def test_weights_bit_identical_to_per_row_pass(build):
+def test_weights_bit_identical_to_per_row_pass(monkeypatch, build):
+    """With one worker and with two, whatever the machine's CPU count."""
     X, y = build()
+    expected = reference_relief(X, y)
+    for workers in (1, 2):
+        monkeypatch.setattr(relief, "_WORKERS", workers)
+        assert np.array_equal(relief_weights(X, y).weights, expected), workers
+
+
+def test_weights_bit_identical_with_small_uneven_blocks(monkeypatch):
+    """A 64-entry budget: the 40 low rows' miss search against 10 candidates
+    takes blocks of 6 rows, seven of them, so the calling thread gets four,
+    the other thread three, and the last block holds 4 rows."""
+    monkeypatch.setattr(relief, "_BLOCK_ENTRIES", 64)
+    monkeypatch.setattr(relief, "_WORKERS", 2)
+    search = relief._search
+    ranges = []
+
+    def recording(Q, C, CA, tol, skip_self, pos, start, stop, qa, s):
+        ranges.append((start, stop, len(s)))
+        search(Q, C, CA, tol, skip_self, pos, start, stop, qa, s)
+
+    monkeypatch.setattr(relief, "_search", recording)
+    rng = np.random.default_rng(49)
+    y = np.array([LOW] * 40 + [HIGH] * 10)
+    rng.shuffle(y)
+    X = rng.normal(size=(50, 3))
     assert np.array_equal(relief_weights(X, y).weights, reference_relief(X, y))
+    assert {(0, 24, 6), (24, 40, 6)} <= set(ranges)
+
+
+@pytest.mark.parametrize("side", ["other-thread", "calling-thread"])
+def test_search_error_reaches_the_caller(monkeypatch, side):
+    """A thread keeps its exception to itself, which would leave its rows of
+    the result unset; relief_weights must raise it instead, and leave no
+    thread behind."""
+    monkeypatch.setattr(relief, "_WORKERS", 2)
+    caller = threading.current_thread()
+    screen = relief._screen
+    error = RuntimeError("screen failed")
+
+    def failing(qa, CA, out):
+        if (threading.current_thread() is caller) == (side == "calling-thread"):
+            raise error
+        screen(qa, CA, out)
+
+    monkeypatch.setattr(relief, "_screen", failing)
+    threads = threading.active_count()
+    X, y = _case_ragged_last_block()
+    with pytest.raises(RuntimeError) as raised:
+        relief_weights(X, y)
+    assert raised.value is error
+    assert threading.active_count() == threads
 
 
 @_BIT_IDENTITY_CASES
@@ -289,15 +343,18 @@ def test_weights_survive_screen_error_within_half_its_bound(monkeypatch, build):
     """The screen's rounding depends on the BLAS kernel and thread count.
     Noise of up to half the re-check bound, 64·(d+2)·d·eps, stands in for
     any such rounding: the weights must not move."""
-    rng = np.random.default_rng(48)
     screen = relief._screen
     calls = []
 
-    def noisy(qa, CA):
+    def noisy(qa, CA, out):
         calls.append(len(qa))
         d = CA.shape[0] - 1  # the last row of CA holds ‖c‖²
         half = 32 * (d + 2) * d * np.finfo(float).eps
-        return screen(qa, CA) + rng.uniform(-half, half, size=(len(qa), CA.shape[1]))
+        # seeded by the block itself, so the noise does not depend on which
+        # thread screens the block or when
+        rng = np.random.default_rng([48, zlib.crc32(qa.tobytes())])
+        screen(qa, CA, out)
+        out += rng.uniform(-half, half, size=out.shape)
 
     monkeypatch.setattr(relief, "_screen", noisy)
     X, y = build()
@@ -307,7 +364,8 @@ def test_weights_survive_screen_error_within_half_its_bound(monkeypatch, build):
 
 def test_temporary_memory_stays_bounded():
     """A 6000-row n×n distance matrix would take 288 MB; the blockwise search
-    keeps a few n×d copies (about 0.3 MB each) plus 256 KB blocks."""
+    keeps a few n×d copies (about 0.3 MB each) plus one 1 MB block buffer for
+    each of at most two threads."""
     rng = np.random.default_rng(47)
     X = rng.normal(size=(6000, 6))
     y = _labels(rng, 6000, 0.05)
