@@ -30,6 +30,7 @@ from .dataio import (
     histogram,
     load_table,
     normalize_fit,
+    open_new,
     resample_uniform,
     split_leave_one_well_out,
     write_table,
@@ -186,7 +187,7 @@ def cmd_prepare(s: Settings) -> int:
     write_table(table, out / "prepared.csv")
 
     edges, counts = histogram(table.target, s.bins)
-    with open(out / "histogram.csv", "w", newline="", encoding="utf-8") as fh:
+    with open_new(out / "histogram.csv", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bin_low", "bin_high", "count"])
         for b in range(counts.size):
@@ -222,13 +223,14 @@ def cmd_features(s: Settings) -> int:
     labeled = _load_labeled(s)
     fw = select_features(labeled, s.relief_k)
     order = np.argsort(-fw.weights, kind="stable")
-    with open(out / "relief_weights.csv", "w", newline="", encoding="utf-8") as fh:
+    with open_new(out / "relief_weights.csv", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["feature", "weight"])
         for i in order:
             writer.writerow([fw.feature_names[i], f"{fw.weights[i]:.6g}"])
     names = labeled.feature_names
-    (out / "selected_features.txt").write_text("\n".join(names) + "\n", encoding="utf-8")
+    with open_new(out / "selected_features.txt") as fh:
+        fh.write("\n".join(names) + "\n")
     print(f"selected: {', '.join(names)}")
     print(f"wrote {out / 'relief_weights.csv'} and {out / 'selected_features.txt'}")
     return 0
@@ -322,7 +324,8 @@ def cmd_run(s: Settings) -> int:
     records, failed = run_blind_tests(labeled, _kernel_of(s), s.cost, classifiers,
                                       test_wells, s.csvm_cost, s.max_passes, out, s.relief_k)
     report = compare_report(records)
-    (out / "report.csv").write_text(report, encoding="utf-8")
+    with open_new(out / "report.csv") as fh:
+        fh.write(report)
     print(report, end="")
     if failed:
         print("warning: at least one trainer did not converge; NA cells written", file=sys.stderr)

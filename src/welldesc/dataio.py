@@ -25,12 +25,15 @@ observed depths instead of interpolating them.
 write_table writes the file that load_table reads: a header row, then per
 row the well id with the csv module's minimal quoting and every value in
 `.6g` form, an empty cell for NaN, each line ended by CRLF. It formats a
-chunk of rows at a time, one % template per row.
+chunk of rows at a time, one % template per row. Like every file the package
+writes, it goes out through open_new, which replaces an old file by a new one
+where the directory allows, instead of truncating it.
 """
 
 import csv
 import io
 import math
+import os
 from array import array
 from dataclasses import dataclass, field
 from itertools import chain
@@ -365,6 +368,25 @@ def _csv_cell(text: str) -> str:
     return buf.getvalue()[:-3]  # the empty last cell's "," and the "\r\n"
 
 
+def open_new(path, newline=None):
+    """Open path for writing UTF-8 text as a new file, like `cp --remove-destination`.
+
+    Whatever file path names is unlinked first and a new one created in its
+    place, so a hard link to the old file keeps the old bytes, a symlink is
+    replaced and not followed, and a read-only file in a writable directory
+    is replaced. A directory at path raises IsADirectoryError. Where the
+    directory refuses the unlink (not writable, or sticky), the file is
+    truncated in place as a plain open would. Truncating a file that was
+    written a moment ago waits on its writeback on ext4, and replacing it
+    does not; nothing is synced either way. newline is open's.
+    """
+    try:
+        os.unlink(path)
+    except (FileNotFoundError, PermissionError):
+        pass
+    return open(path, "w", newline=newline, encoding="utf-8")
+
+
 def write_table(t: WellTable, path) -> None:
     """Write a table as a well CSV that load_table reads back.
 
@@ -376,11 +398,11 @@ def write_table(t: WellTable, path) -> None:
 
     Rows are formatted _CHUNK_ROWS at a time, one % template per row, and
     each distinct well id is quoted once; only a row holding a NaN is
-    formatted cell by cell.
+    formatted cell by cell. The file is a new one (open_new).
     """
     template = "%s," + ",".join(["%.6g"] * (t.features.shape[1] + 2)) + "\r\n"
     cells: dict = {}  # well id -> its csv cell
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open_new(path, newline="") as fh:
         csv.writer(fh).writerow(["well", "depth", *t.feature_names, t.target_name])
         for start in range(0, t.n_rows, _CHUNK_ROWS):
             rows = slice(start, start + _CHUNK_ROWS)

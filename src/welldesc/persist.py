@@ -36,7 +36,7 @@ import numpy as np
 
 from . import svdd as _svdd
 from .baselines import GnbModel, LdaModel, SvmModel, _lda_discriminant
-from .dataio import STD_FLOOR, NormStats
+from .dataio import STD_FLOOR, NormStats, open_new
 from .errors import InvalidConfig, MalformedFile, SingularCovariance
 from .kernels import KernelSpec, gram
 
@@ -237,11 +237,12 @@ _RANGES = {
 
 
 def save_model(model, path) -> None:
+    """Write any model in its format (_FORMATS) as a new file (dataio.open_new)."""
     fmt = _FORMATS.get(type(model))
     if fmt is None:
         raise TypeError(f"cannot persist {type(model).__name__}")
     lines = [fmt.tag, *([model.kernel.describe()] if fmt.kernel else []), *fmt.dump(model)]
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_new(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 

@@ -15,6 +15,14 @@ source with three parts: `diag`, the diagonal as an array; `col(i)`, column
 i; and `dot(z)`, the product K @ z, taken at the start and every 1024 passes.
 A source may compute columns on demand and forget them again (the SVM's
 kernel cache in `welldesc.baselines`), or hold K whole (`Dense`).
+
+A pass picks j by the second-order rule from the gap it already holds:
+v_i - v over the indices that can fall and -inf elsewhere, so that
+|gap| gap / curvature is the rule's gain where it applies and <= 0, -inf or
+NaN everywhere else. Only when that gain peaks at no positive value (gains
+that fall to 0, an inf or NaN curvature) does the pass mask the gain
+explicitly (_pick_in_low). Either way j is the rule's first maximum, bit for
+bit.
 """
 
 import numpy as np
@@ -50,8 +58,12 @@ def solve(cols, y, p, C: float, a, max_passes: int | None = None):
     most violating i in up and pairs it with the j in low promising the
     largest guaranteed gain (gap squared over curvature; a first-order pick
     zigzags on near-singular Grams), takes the optimal step along the pair,
-    and lands exactly on a bound it reaches. A pass reads columns i and j
-    only. Ties pick the lowest index, so the result is deterministic. Stops
+    and lands exactly on a bound it reaches. The gain is read as
+    |gap| gap / curvature off the masked gap, which scores every other index
+    <= 0, -inf or NaN; a pass whose gain does not peak above 0 picks again
+    with the other indices masked to -inf (_pick_in_low). A pass reads
+    columns i and j only, and its scalar step runs on Python floats. Ties
+    pick the lowest index, so the result is deterministic. Stops
     when max(v over up) - min(v over low) <= TOL and raises NonConvergence
     after max_passes passes (None: 10 n^2). A kernel diagonal holding an inf
     or a NaN raises NonFiniteInput first; for a positive semidefinite K,
@@ -65,6 +77,9 @@ def solve(cols, y, p, C: float, a, max_passes: int | None = None):
         max_passes = 10 * y.size * y.size
     hi = np.where(y > 0, C, 0.0)
     lo = hi - C
+    # the step reads these per index as Python floats: the same IEEE
+    # arithmetic as numpy's scalars, at a fraction of the call cost
+    hi_at, lo_at, kd_at = hi.tolist(), lo.tolist(), kd.tolist()
     z = y * a
     v = -y * p - cols.dot(z)
     # up and low, the indices whose z can still rise and fall, kept as
@@ -74,58 +89,73 @@ def solve(cols, y, p, C: float, a, max_passes: int | None = None):
     # being finite, so adding 0 leaves it as it is.
     up_off, low_off = np.where(z < hi, 0.0, -np.inf), np.where(z > lo, 0.0, np.inf)
     masked, gap, curv, gain, diff = (np.empty_like(v) for _ in range(5))
-    excluded = np.empty(v.size, dtype=bool)
     viol = np.inf
     for it in range(max_passes):
         i = int(np.add(v, up_off, out=masked).argmax())
-        vi = v[i]
-        viol = vi - v[int(np.add(v, low_off, out=masked).argmin())]
+        vi = v.item(i)
+        viol = vi - v.item(int(np.add(v, low_off, out=masked).argmin()))
         if viol <= TOL:
             return y * z, v, up_off == 0.0, low_off == 0.0
 
-        np.subtract(vi, v, out=gap)
+        # masked still holds v over low and +inf elsewhere, so gap is
+        # v_i - v_k over low and -inf elsewhere, and |gap| gap / curv is the
+        # pick's gain gap^2 / curv where k is in low with gap > 0, and <= 0,
+        # -inf or NaN everywhere else
+        np.subtract(vi, masked, out=gap)
         Ki = cols.col(i)
-        np.add(kd[i], kd, out=curv)
+        np.add(kd_at[i], kd, out=curv)
         curv -= np.multiply(Ki, 2.0, out=diff)
         np.maximum(curv, 1e-12, out=curv)
-        # masked still holds v over low and +inf elsewhere, so the j in low
-        # with gap > 0 are exactly those where masked < vi
-        np.greater_equal(masked, vi, out=excluded)
-        np.multiply(gap, gap, out=gain)
+        np.multiply(np.abs(gap, out=gain), gap, out=gain)
         gain /= curv
-        np.putmask(gain, excluded, -np.inf)
         j = int(gain.argmax())
+        if not gain.item(j) > 0.0:
+            j = _pick_in_low(gap, curv, masked, vi, gain)
 
-        # the step's scalars as Python floats: the same IEEE arithmetic as
-        # numpy's scalars, at a fraction of the call cost
-        room_i, room_j = hi.item(i) - z.item(i), z.item(j) - lo.item(j)
+        zi, zj = z.item(i), z.item(j)
+        room_i, room_j = hi_at[i] - zi, zj - lo_at[j]
         room = min(room_i, room_j)
-        quad = kd.item(i) + kd.item(j) - 2.0 * Ki.item(j)
+        quad = kd_at[i] + kd_at[j] - 2.0 * Ki.item(j)
         delta = room if quad <= 0.0 else min(room, gap.item(j) / quad)
         if delta <= 0.0:
             return y * z, v, up_off == 0.0, low_off == 0.0  # box leaves no feasible motion
         if delta >= room:
             # land exactly on whichever bound binds
             if room_i <= room_j:
-                z[j] -= room_i
-                z[i] = hi[i]
+                zi, zj = hi_at[i], zj - room_i
             else:
-                z[i] += room_j
-                z[j] = lo[j]
+                zi, zj = zi + room_j, lo_at[j]
             delta = room
         else:
-            z[i] += delta
-            z[j] -= delta
+            zi, zj = zi + delta, zj - delta
+        z[i], z[j] = zi, zj
+        up_off[i] = 0.0 if zi < hi_at[i] else -np.inf
+        low_off[i] = 0.0 if zi > lo_at[i] else np.inf
+        up_off[j] = 0.0 if zj < hi_at[j] else -np.inf
+        low_off[j] = 0.0 if zj > lo_at[j] else np.inf
         np.subtract(Ki, cols.col(j), out=diff)
         diff *= delta
         v -= diff
-        for k in (i, j):
-            zk = z.item(k)
-            up_off[k] = 0.0 if zk < hi.item(k) else -np.inf
-            low_off[k] = 0.0 if zk > lo.item(k) else np.inf
         if (it + 1) % 1024 == 0:
             v = -y * p - cols.dot(z)  # shed incremental rounding
 
     raise NonConvergence(
         f"pairwise solver still violating KKT by {viol:.3e} after {max_passes} passes",
         kkt_violation=float(viol))
+
+
+def _pick_in_low(gap, curv, masked, vi, gain) -> int:
+    """The pick's j over the k in low with gap > 0 alone, for a pass whose
+    masked-gap gain peaks at no positive value.
+
+    That happens when every such gain falls to 0 (gap^2 over an inf
+    curvature), or a curvature is NaN (an inf - inf): the masked-gap gain
+    then reads 0, -inf / inf = NaN or NaN outside those k, and argmax takes
+    the first NaN wherever it lies.
+    Here every other k reads -inf, so j is the first maximum, or the first
+    NaN, among those k: the rule's own choice.
+    """
+    np.multiply(gap, gap, out=gain)
+    gain /= curv
+    np.putmask(gain, masked >= vi, -np.inf)
+    return int(gain.argmax())

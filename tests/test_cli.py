@@ -1,5 +1,6 @@
 import contextlib
 import importlib.util
+import os
 import subprocess
 import sys
 from collections import Counter
@@ -476,6 +477,57 @@ def test_run_deterministic_apart_from_timings(tmp_path):
                        for ln in (p / "report.csv").read_text().strip().split("\n")]
     assert strip(a) == strip(b)
     assert (a / "model_svdd_A.txt").read_bytes() == (b / "model_svdd_A.txt").read_bytes()
+
+
+def _pipeline(out, data):
+    """prepare, features and run from data into out, in process."""
+    prepared = str(out / "prepared.csv")
+    for argv in (["prepare", "--input", str(data)],
+                 ["features", "--input", prepared, "--relief-k", "2"],
+                 ["run", "--input", prepared, "--cost", "0.25", "--relief-k", "2"]):
+        assert welldesc.cli.main([*argv, "--out", str(out)]) == 0
+
+
+def _outputs(out):
+    """Every file in out by name; report.csv without its two timing columns."""
+    files = {p.name: p.read_bytes() for p in out.iterdir()}
+    files["report.csv"] = [ln.split(b",")[:5] for ln in files["report.csv"].splitlines()]
+    return files
+
+
+def test_rerun_into_one_out_directory_writes_new_files(tmp_path):
+    """A second pipeline into the same --out leaves what a fresh directory
+    gets, every output a new file: a hard link to a first-run model keeps the
+    first run's bytes, a symlink at an output path becomes a regular file
+    and its target is left alone, and a read-only output is replaced."""
+    data = synth_small(tmp_path)
+    fresh, again = tmp_path / "fresh", tmp_path / "again"
+    _pipeline(fresh, data)
+    _pipeline(again, data)
+    model = again / "model_svdd_A.txt"
+    first = model.read_bytes()
+    link = tmp_path / "linked.txt"
+    os.link(model, link)
+    target = tmp_path / "target.csv"
+    target.write_text("target\n", encoding="utf-8")
+    (again / "histogram.csv").unlink()
+    (again / "histogram.csv").symlink_to(target)
+    (again / "selected_features.txt").chmod(0o444)
+    _pipeline(again, data)
+    assert _outputs(again) == _outputs(fresh)
+    assert link.read_bytes() == first and not link.samefile(model)
+    assert not (again / "histogram.csv").is_symlink()
+    assert target.read_text(encoding="utf-8") == "target\n"
+
+
+def test_directory_at_an_output_path_exits_two(tmp_path):
+    prepare_in_process(tmp_path)
+    (tmp_path / "model_gnb_A.txt").mkdir()
+    r = cli("run", "--input", "prepared.csv", "--classifiers", "gnb", "--relief-k", "2",
+            "--out", ".", cwd=tmp_path)
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: ") and "Is a directory" in r.stderr
+    assert "Traceback" not in r.stderr
 
 
 # ------------------------------------------------------------------- config

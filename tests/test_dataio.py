@@ -1,5 +1,6 @@
 import csv
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -197,6 +198,22 @@ def assert_same_bytes(t, tmp_path):
 
 _ODD_VALUES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 1e300, 5e-324, 123456.5, 1234567.0, 0.1]
 _ODD_WELLS = ["a,b", 'say "hi"', "line\nbreak", "cr\rlf", " lead", "trail ", "Ölfeld ü", "", "plain"]
+
+
+def test_open_new_truncates_where_the_directory_refuses_the_unlink(tmp_path, monkeypatch):
+    """A file whose directory refuses the unlink is written in place, as a
+    plain open writes it: a hard link to it sees the new bytes."""
+    path, link = tmp_path / "out.txt", tmp_path / "link.txt"
+    path.write_text("old and longer\n", encoding="utf-8")
+    os.link(path, link)
+
+    def refuse(p):
+        raise PermissionError(13, "Permission denied", str(p))
+
+    monkeypatch.setattr(dataio.os, "unlink", refuse)
+    with dataio.open_new(path) as fh:
+        fh.write("new\n")
+    assert link.read_text(encoding="utf-8") == "new\n"
 
 
 @pytest.mark.parametrize("column", range(4))

@@ -119,3 +119,63 @@ def test_the_draws_reach_every_branch():
         on_zero += bool(((alphas == 0.0) & (a > 0.0)).any())
         on_cap += bool(((alphas == C) & (a < C)).any())
     assert refreshed >= 1 and capped == 2 and on_zero >= 1 and on_cap >= 1
+
+
+def _huge_dual(K, y, p, C, a, max_passes=None):
+    """A dual over K held whole: a diagonal near 1e308 makes the pick's
+    curvatures overflow to inf, or an inf - inf a NaN."""
+    return (lambda: smo.Dense(K.copy()), y, p, C, a, max_passes)
+
+
+def _fallback_duals():
+    n = 12
+    X = np.random.default_rng(23).normal(size=(n, 2))
+    labels = np.resize([1.0, -1.0], n)
+    # index 0's curvature with itself, 2e308 - 2e308, is NaN whenever the pick
+    # takes i = 0; its curvature with the others stays finite
+    K = gram(_SPECS[0], X)
+    K[0, 0] = 1e308
+    yield "one-huge-row", _huge_dual(K, labels, -np.ones(n), 1.0, np.zeros(n))
+    # i = 0 (0.85e308 on the diagonal): every other curvature is inf, so
+    # every candidate's gain falls to gap^2 / inf = 0
+    K = np.diag([0.85e308, 1e308, 0.99e308, 1e308])
+    yield "gains-fall-to-zero", _huge_dual(K, np.ones(4), np.zeros(4), 1.0, np.full(4, 1e-300))
+    # every curvature overflows to inf, and to NaN (inf - inf) at i itself;
+    # outside low the gain reads -inf / inf = NaN
+    y6 = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
+    K = np.diag(np.full(6, 0.95e308)) + np.diag(np.ones(5), 1) + np.diag(np.ones(5), -1)
+    yield "inf-curvature", _huge_dual(K, y6, -np.ones(6), 1.0, np.zeros(6))
+    # off-diagonal entries near 1e308 too: every curvature is NaN, and the
+    # solve runs into its pass cap
+    K = np.full((5, 5), 0.95e308)
+    np.fill_diagonal(K, 1e308)
+    yield "nan-curvature", _huge_dual(K, np.ones(5), -np.arange(5) * 1e306, 1.0,
+                                      np.full(5, 0.2), max_passes=40)
+
+
+_FALLBACK_DUALS = dict(_fallback_duals())
+
+
+@pytest.mark.parametrize("name", list(_FALLBACK_DUALS))
+def test_pick_falls_back_where_no_gain_is_positive(name, monkeypatch):
+    """Where the masked-gap gain peaks at 0 or NaN, the pick falls back to
+    the gain over low alone, and the solve still returns the plain loop's
+    bytes. The overflows are the point here, so numpy's warnings about them
+    are silenced."""
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return pick(*args)
+
+    pick = smo._pick_in_low
+    monkeypatch.setattr(smo, "_pick_in_low", counted)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, _ = _run(smo.solve, *_FALLBACK_DUALS[name])
+        want, _ = _run(solve_pairwise, *_FALLBACK_DUALS[name])
+    assert calls
+    if isinstance(want, NonConvergence):
+        assert isinstance(got, NonConvergence)
+        assert got.kkt_violation == want.kkt_violation and str(got) == str(want)
+    else:
+        assert got == want
