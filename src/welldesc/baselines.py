@@ -24,7 +24,7 @@ from .errors import (
     SingularCovariance,
 )
 from . import smo
-from .kernels import KernelSpec, kernel_diag, kernel_row, kernel_sum, screen_sum
+from .kernels import KernelSpec, _feature_sum, kernel_diag, kernel_row, kernel_sum, screen_sum
 from .kernels import gram  # noqa: F401  only for perfbench/spans.py
 
 _CLASSES = (LOW, HIGH)
@@ -70,15 +70,30 @@ def train_gnb(X, y, norm_stats: NormStats | None = None) -> GnbModel:
     return GnbModel(priors, means, variances, stats)
 
 
-def predict_gnb(m: GnbModel, X) -> np.ndarray:
-    Xn = normalize_apply(m.norm_stats, X)
-    scores = []
+def _gnb_scores(m: GnbModel, X) -> np.ndarray:
+    """(2, n) log-posteriors, up to a shared constant, of the classes LOW, HIGH.
+
+    Each row's d terms (x - mu)^2 / var + log(2 pi) + log(var) are built
+    feature-major and added left to right from zero, as the kernels add
+    theirs; for d <= 7 that is the bits of numpy's row sum too.
+    """
+    XnT = normalize_apply(m.norm_stats, X).T
+    terms = np.empty_like(XnT)
+    scores = np.empty((len(_CLASSES), XnT.shape[1]))
     # a term that overflows gives a log-likelihood of -inf, its limit
     with np.errstate(over="ignore"):
         for c, _ in enumerate(_CLASSES):
-            mu, var = m.means[c], m.variances[c]
-            ll = -0.5 * (_LOG_2PI + np.log(var) + (Xn - mu) ** 2 / var).sum(axis=1)
-            scores.append(np.log(m.priors[c]) + ll)
+            mu, var = m.means[c][:, np.newaxis], m.variances[c][:, np.newaxis]
+            np.square(np.subtract(XnT, mu, out=terms), out=terms)
+            terms /= var
+            terms += _LOG_2PI + np.log(var)
+            np.multiply(_feature_sum(terms), -0.5, out=scores[c])
+            scores[c] += np.log(m.priors[c])
+    return scores
+
+
+def predict_gnb(m: GnbModel, X) -> np.ndarray:
+    scores = _gnb_scores(m, X)
     return np.where(scores[0] > scores[1], LOW, HIGH)
 
 
@@ -114,10 +129,16 @@ def train_lda(X, y, norm_stats: NormStats | None = None) -> LdaModel:
     return LdaModel(priors, means, cov, coefs, intercepts, stats)
 
 
+def _lda_scores(m: LdaModel, X) -> np.ndarray:
+    """(2, n) discriminants of the classes LOW, HIGH, one row each along the samples."""
+    scores = m.coefs @ normalize_apply(m.norm_stats, X).T
+    scores += m.intercepts[:, np.newaxis]
+    return scores
+
+
 def predict_lda(m: LdaModel, X) -> np.ndarray:
-    Xn = normalize_apply(m.norm_stats, X)
-    scores = Xn @ m.coefs.T + m.intercepts
-    return np.where(scores[:, 0] > scores[:, 1], LOW, HIGH)
+    scores = _lda_scores(m, X)
+    return np.where(scores[0] > scores[1], LOW, HIGH)
 
 
 @dataclass
@@ -138,10 +159,13 @@ class _KernelColumns:
     bit for bit. It is computed the first time the solver asks for it and
     kept; past _CACHE_BYTES the least recently used column is dropped and
     computed again if it is asked for again (the kernel cache of SVMlight
-    and LIBSVM). dot(z) adds the columns of the nonzero z_i in index order,
-    reading the cached ones and computing the others without keeping them,
-    so a refresh leaves the cache and its order as they were. The sample is
-    kept in Fortran order, so each column reads it feature-major.
+    and LIBSVM). curv(i) is computed afresh on every call, into two n-vectors
+    the source owns; caching it too would double the cache's memory. dot(z)
+    adds the columns of the nonzero z_i in index order, reading the cached
+    ones and computing the others without keeping them, so a refresh leaves
+    the cache and its order as they were. The sample is kept in Fortran
+    order, so each column reads it feature-major; a block from
+    `normalize_apply` already is, and asfortranarray copies nothing.
     """
 
     def __init__(self, kernel: KernelSpec, Xn: np.ndarray):
@@ -150,6 +174,7 @@ class _KernelColumns:
         self.diag = kernel_diag(kernel, self.Xn)
         self.room = max(1, _CACHE_BYTES // (8 * Xn.shape[0]))
         self.cache = OrderedDict()
+        self._curv, self._scratch = np.empty_like(self.diag), np.empty_like(self.diag)
 
     def col(self, i: int) -> np.ndarray:
         column = self.cache.get(i)
@@ -160,6 +185,9 @@ class _KernelColumns:
             self.cache.popitem(last=False)
         column = self.cache[i] = kernel_row(self.kernel, self.Xn[i], self.Xn)
         return column
+
+    def curv(self, i: int) -> np.ndarray:
+        return smo.curvature(self.diag, i, self.col(i), self._curv, self._scratch)
 
     def dot(self, z: np.ndarray) -> np.ndarray:
         out = np.zeros(self.Xn.shape[0])
@@ -210,10 +238,10 @@ def train_csvm(X, y, kernel: KernelSpec | None = None, C_svm: float = 1.0,
 def _margins(m: SvmModel, X) -> np.ndarray:
     """Signed margin of every row of a raw-space query block, by the exact loop.
 
-    The block is read feature-major from a Fortran-ordered copy; with no
+    The block is read feature-major, as normalize_apply lays it out; with no
     support vectors every margin is the bias.
     """
-    Xn = np.asfortranarray(normalize_apply(m.norm_stats, X))
+    Xn = normalize_apply(m.norm_stats, X)
     acc = kernel_sum(m.kernel, m.betas * m.labels, m.X_sv, Xn)
     with np.errstate(over="ignore"):  # a margin that overflows keeps its sign
         return acc + m.bias

@@ -13,6 +13,7 @@ is still written with NA cells). No toolkit error leaves as a traceback.
 
 import argparse
 import csv
+import re
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -94,8 +95,16 @@ def _cast(key: str, raw: str):
         raise InvalidConfig(f"bad value {raw!r} for {key}") from exc
 
 
+_COMMENT = re.compile(r"\s#")
+
+
 def read_config_file(path) -> dict:
-    """Flat key=value settings; blank lines and # comments are skipped."""
+    """Flat key=value settings; blank lines and # comments are skipped.
+
+    A comment is a line whose first non-blank character is #, or the rest
+    of a line from a # that follows whitespace (a space or a tab). A # glued
+    to the text before it is part of the value (out=run#2).
+    """
     entries = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -110,7 +119,7 @@ def read_config_file(path) -> dict:
             raise InvalidConfig(f"{path}:{line_no}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.split(" #")[0].strip()
+        value = _COMMENT.split(value, maxsplit=1)[0].strip()
         if key not in _CASTS:
             raise InvalidConfig(f"{path}:{line_no}: unknown setting {key!r}")
         entries[key] = _cast(key, value)

@@ -565,14 +565,21 @@ def normalize_fit(X, rows=None) -> NormStats:
 
 
 def normalize_apply(stats: NormStats, X) -> np.ndarray:
-    """Z-score a 2-d block of rows; the one shape check of every model's input."""
+    """Z-score a 2-d block of rows; the one shape check of every model's input.
+
+    Returns a new (n, d) array in Fortran order, bit-equal to
+    (X - mean) / std: each feature's values lie contiguous, so every model's
+    per-feature loop runs along the samples. A row or class gather of it
+    (Z[mask]) comes out C-ordered.
+    """
     X = np.asarray(X, dtype=float)
     d = stats.mean.size
     if X.ndim != 2 or X.shape[1] != d:
         raise DimensionMismatch(f"expected a 2-d matrix of {d} features, got shape {X.shape}")
-    Z = X - stats.mean
-    Z /= stats.std  # in place: one (n, d) array, not two
-    return Z
+    # one feature-major (d, n) buffer, divided in place
+    ZT = np.subtract(X.T, stats.mean[:, np.newaxis], out=np.empty((d, X.shape[0])))
+    ZT /= stats.std[:, np.newaxis]
+    return ZT.T
 
 
 def histogram(values, bins: int):

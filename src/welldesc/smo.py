@@ -11,10 +11,14 @@ so Q is never formed: moving z_i up by t and z_j down by t keeps y'a fixed
 and changes v by -t (K[:, i] - K[:, j]).
 
 K itself is never formed by the solver either. It reads K through a column
-source with three parts: `diag`, the diagonal as an array; `col(i)`, column
-i; and `dot(z)`, the product K @ z, taken at the start and every 1024 passes.
-A source may compute columns on demand and forget them again (the SVM's
-kernel cache in `welldesc.baselines`), or hold K whole (`Dense`).
+source with four parts: `diag`, the diagonal as an array; `col(i)`, column
+i; `curv(i)`, the pick's curvatures max(K_ii + K_kk - 2 K_ik, 1e-12) over k,
+as `curvature` computes them; and `dot(z)`, the product K @ z, taken at the
+start and every 1024 passes. A source may compute columns and curvatures on
+demand and forget them again (the SVM's kernel cache in
+`welldesc.baselines`), or hold K whole and keep each working index's
+curvatures once computed (`Dense`). The solver only reads what col and curv
+return.
 
 A pass picks j by the second-order rule from the gap it already holds:
 v_i - v over the indices that can fall and -inf elsewhere, so that
@@ -32,19 +36,37 @@ from .errors import NonConvergence, NonFiniteInput
 TOL = 1e-6  # the stopping gap; both trainers also read a multiplier within TOL of a bound as on it
 
 
+def curvature(diag: np.ndarray, i: int, Ki: np.ndarray, out: np.ndarray,
+              scratch: np.ndarray) -> np.ndarray:
+    """max(K_ii + K_kk - 2 K_ik, 1e-12) over k, into out; scratch is overwritten."""
+    np.add(diag.item(i), diag, out=out)
+    out -= np.multiply(Ki, 2.0, out=scratch)
+    return np.maximum(out, 1e-12, out=out)
+
+
 class Dense:
     """Column source over a symmetric matrix held whole.
 
     col(i) returns row i, which is contiguous and, K being symmetric, equal
-    to column i.
+    to column i. curv(i) is computed on the first call for i and kept: a
+    solve revisits few working indices, so this holds a few n-vectors, and
+    never more than K itself.
     """
 
     def __init__(self, K: np.ndarray):
         self.K = K
         self.diag = K.diagonal().copy()
+        self.curvs = {}
 
     def col(self, i: int) -> np.ndarray:
         return self.K[i]
+
+    def curv(self, i: int) -> np.ndarray:
+        c = self.curvs.get(i)
+        if c is None:
+            c = self.curvs[i] = curvature(self.diag, i, self.K[i], np.empty_like(self.diag),
+                                          np.empty_like(self.diag))
+        return c
 
     def dot(self, z: np.ndarray) -> np.ndarray:
         return self.K @ z
@@ -62,12 +84,13 @@ def solve(cols, y, p, C: float, a, max_passes: int | None = None):
     |gap| gap / curvature off the masked gap, which scores every other index
     <= 0, -inf or NaN; a pass whose gain does not peak above 0 picks again
     with the other indices masked to -inf (_pick_in_low). A pass reads
-    columns i and j only, and its scalar step runs on Python floats. Ties
-    pick the lowest index, so the result is deterministic. Stops
-    when max(v over up) - min(v over low) <= TOL and raises NonConvergence
-    after max_passes passes (None: 10 n^2). A kernel diagonal holding an inf
-    or a NaN raises NonFiniteInput first; for a positive semidefinite K,
-    |K_ij| <= sqrt(K_ii K_jj), so a finite diagonal bounds every entry.
+    columns i and j and i's curvatures only, and its scalar step runs on
+    Python floats. Ties pick the lowest index, so the result is
+    deterministic. Stops when max(v over up) - min(v over low) <= TOL and
+    raises NonConvergence after max_passes passes (None: 10 n^2). A kernel
+    diagonal holding an inf or a NaN raises NonFiniteInput first; for a
+    positive semidefinite K, |K_ij| <= sqrt(K_ii K_jj), so a finite diagonal
+    bounds every entry.
     """
     kd = cols.diag
     if not np.isfinite(kd).all():
@@ -88,7 +111,7 @@ def solve(cols, y, p, C: float, a, max_passes: int | None = None):
     # argmax and argmin of v are then one add each; v is finite, K's diagonal
     # being finite, so adding 0 leaves it as it is.
     up_off, low_off = np.where(z < hi, 0.0, -np.inf), np.where(z > lo, 0.0, np.inf)
-    masked, gap, curv, gain, diff = (np.empty_like(v) for _ in range(5))
+    masked, gap, gain, diff = (np.empty_like(v) for _ in range(4))
     viol = np.inf
     for it in range(max_passes):
         i = int(np.add(v, up_off, out=masked).argmax())
@@ -102,10 +125,7 @@ def solve(cols, y, p, C: float, a, max_passes: int | None = None):
         # pick's gain gap^2 / curv where k is in low with gap > 0, and <= 0,
         # -inf or NaN everywhere else
         np.subtract(vi, masked, out=gap)
-        Ki = cols.col(i)
-        np.add(kd_at[i], kd, out=curv)
-        curv -= np.multiply(Ki, 2.0, out=diff)
-        np.maximum(curv, 1e-12, out=curv)
+        Ki, curv = cols.col(i), cols.curv(i)
         np.multiply(np.abs(gap, out=gain), gap, out=gain)
         gain /= curv
         j = int(gain.argmax())

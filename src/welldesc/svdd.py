@@ -119,10 +119,10 @@ def _live(m: SvddModel) -> tuple:
 def _radius2(m: SvddModel, X) -> np.ndarray:
     """R^2 of every row of a raw-space query block, by the exact loop.
 
-    The block is normalized into Fortran order, so each kernel_row reads it
-    feature-major and contiguous.
+    normalize_apply lays the block out feature-major, so each kernel_row
+    reads it contiguous.
     """
-    Xn = np.asfortranarray(normalize_apply(m.norm_stats, X))
+    Xn = normalize_apply(m.norm_stats, X)
     return kernel_diag(m.kernel, Xn) - 2.0 * kernel_sum(m.kernel, *_live(m), Xn) + m.self_term
 
 

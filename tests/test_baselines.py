@@ -11,6 +11,7 @@ from welldesc import (
     KernelSpec,
     NormStats,
     normalize_apply,
+    normalize_fit,
     predict_csvm,
     predict_gnb,
     predict_lda,
@@ -183,6 +184,88 @@ def test_lda_single_class_rejected():
     X = np.arange(8.0).reshape(4, 2)
     with pytest.raises(SingleClassInput):
         train_lda(X, np.array([HIGH, HIGH, HIGH, HIGH]))
+
+
+# ------------------------------------------------- feature-major scoring
+
+def _draw(rng, d, n=300):
+    """A raw-space two-class sample of d features on scales far apart, its
+    fitted stats and a query block: the rows a split trains and scores."""
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, size=d)
+    X = rng.normal(size=(n, d)) * scale
+    y = np.where(rng.uniform(size=n) < 0.2, LOW, HIGH)
+    y[:2] = [LOW, HIGH]
+    X[y == LOW] += rng.uniform(0.0, 1.5, size=d) * scale
+    queries = rng.normal(size=(n // 2, d)) * 1.5 * scale
+    return X, y, normalize_fit(X), queries
+
+
+def _row_major(stats, X):
+    """The normalized block in C order, as scoring read it before it went feature-major."""
+    return np.ascontiguousarray((X - stats.mean) / stats.std)
+
+
+def _row_major_gnb_scores(m, X):
+    """GNB's scores as numpy's row sums of the C-ordered block give them."""
+    Xn = _row_major(m.norm_stats, X)
+    scores = []
+    with np.errstate(over="ignore"):
+        for c in range(2):
+            mu, var = m.means[c], m.variances[c]
+            ll = -0.5 * (baselines._LOG_2PI + np.log(var) + (Xn - mu) ** 2 / var).sum(axis=1)
+            scores.append(np.log(m.priors[c]) + ll)
+    return np.array(scores)
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_gnb_scores_keep_the_row_sums_bits_up_to_seven_features(d):
+    """Up to 7 terms numpy's row sum adds left to right from zero, as the
+    feature-major sum does, so every score keeps its bits."""
+    rng = np.random.default_rng(100 + d)
+    X, y, stats, queries = _draw(rng, d)
+    m = train_gnb(X, y, stats)
+    for Q in (queries, np.asfortranarray(queries), X):
+        assert baselines._gnb_scores(m, Q).tobytes() == _row_major_gnb_scores(m, Q).tobytes()
+
+
+@pytest.mark.parametrize("d", (8, 9, 20))
+def test_gnb_labels_hold_from_eight_features(d):
+    """From 8 terms numpy's row sum is pairwise and may differ in the last
+    bits; the labels of seeded draws do not."""
+    for seed in range(5):
+        rng = np.random.default_rng(200 + 10 * d + seed)
+        X, y, stats, queries = _draw(rng, d)
+        m = train_gnb(X, y, stats)
+        for Q in (queries, X):
+            old = _row_major_gnb_scores(m, Q)
+            assert np.array_equal(predict_gnb(m, Q), np.where(old[0] > old[1], LOW, HIGH))
+
+
+@pytest.mark.parametrize("d", (1, 2, 4, 6, 9))
+def test_lda_scores_match_for_c_and_f_ordered_blocks(d):
+    """The discriminants read along the samples of the feature-major block
+    are the bytes of the row-major product of the C-ordered one."""
+    rng = np.random.default_rng(300 + d)
+    X, y, stats, queries = _draw(rng, d)
+    m = train_lda(X, y, stats)
+    for Q in (queries, np.asfortranarray(queries), X[:1], X):
+        want = _row_major(stats, Q) @ m.coefs.T + m.intercepts
+        assert baselines._lda_scores(m, Q).tobytes() == np.ascontiguousarray(want.T).tobytes()
+
+
+def test_class_moments_of_a_feature_major_block_keep_their_bits():
+    """A class gather of the feature-major block comes out C-ordered, so
+    the per-class moments are those of the C-ordered block."""
+    rng = np.random.default_rng(17)
+    X, y, stats, _ = _draw(rng, 5)
+    Xn = normalize_apply(stats, X)
+    assert Xn.flags.f_contiguous
+    got = baselines._class_moments(Xn, y)
+    want = baselines._class_moments(_row_major(stats, X), y)
+    assert all(r.flags.c_contiguous for r in got[0])
+    for g, w in zip(got[0], want[0]):
+        assert g.tobytes() == w.tobytes() and g.var(axis=0).tobytes() == w.var(axis=0).tobytes()
+    assert got[1].tobytes() == want[1].tobytes() and got[2].tobytes() == want[2].tobytes()
 
 
 # --------------------------------------------------------------------- SVM

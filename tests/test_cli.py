@@ -581,3 +581,21 @@ def test_config_bad_value_rejected(tmp_path):
     (tmp_path / "run.cfg").write_text("cost=lots\n", encoding="utf-8")
     r = cli("run", "--config", "run.cfg", cwd=tmp_path)
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize("gap", [" ", "\t", "  \t"], ids=["space", "tab", "mixed"])
+def test_config_comment_after_whitespace_is_stripped(tmp_path, gap):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"cost=0.1{gap}# note\nkernel=gaussian{gap}#note\nout=runs/a{gap}# where\n"
+                   f"test_wells=A,B{gap}#\n", encoding="utf-8")
+    assert welldesc.cli.read_config_file(cfg) == {
+        "cost": 0.1, "kernel": "gaussian", "out": "runs/a", "test_wells": "A,B"}
+
+
+def test_config_hash_glued_to_a_value_is_part_of_it(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("out=run#2\ninput=a#b.csv # the table\n", encoding="utf-8")
+    assert welldesc.cli.read_config_file(cfg) == {"out": "run#2", "input": "a#b.csv"}
+    cfg.write_text("cost=0.1#note\n", encoding="utf-8")
+    with pytest.raises(welldesc.errors.InvalidConfig, match="bad value '0.1#note'"):
+        welldesc.cli.read_config_file(cfg)

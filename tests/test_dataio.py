@@ -1,6 +1,7 @@
 import csv
 import math
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -26,6 +27,7 @@ from welldesc import (
     write_table,
 )
 from welldesc.errors import (
+    DimensionMismatch,
     EmptyInput,
     EmptyResult,
     EmptyRowSet,
@@ -1002,6 +1004,34 @@ def test_normalize_apply_allocates_only_its_result():
         tracemalloc.stop()
     assert got.tobytes() == want.tobytes()
     assert peak < 1.5 * X.nbytes, f"peak {peak / 1e6:.2f} MB"
+
+
+def _layouts():
+    X = np.random.default_rng(9).normal(size=(40, 6)) * 1e3
+    yield "c-order", X[:, :3].copy()
+    yield "f-order", np.asfortranarray(X[:, :3])
+    yield "strided", X[::3, 1::2]
+    yield "one-row", X[:1, :3]
+    yield "zero-rows", X[:0, :3]
+
+
+@pytest.mark.parametrize("name,X", list(_layouts()), ids=[n for n, _ in _layouts()])
+def test_normalize_apply_is_feature_major_and_bit_equal(name, X):
+    """Whatever the input layout, the block comes back Fortran-ordered, so
+    each feature's values are contiguous, with the bits of (X - mean) / std."""
+    stats = NormStats(mean=np.array([0.5, -3.0, 1e3]), std=np.array([3.0, 0.7, 250.0]))
+    got = normalize_apply(stats, X)
+    assert got.shape == X.shape and got.flags.f_contiguous
+    assert got.tobytes() == ((X - stats.mean) / stats.std).tobytes()
+    assert not np.shares_memory(got, X)
+
+
+def test_normalize_apply_rejects_a_mismatched_block():
+    stats = NormStats.identity(3)
+    for bad in (np.zeros(3), np.zeros((4, 2)), np.zeros((2, 3, 1))):
+        want = f"expected a 2-d matrix of 3 features, got shape {bad.shape}"
+        with pytest.raises(DimensionMismatch, match=re.escape(want)):
+            normalize_apply(stats, bad)
 
 
 def test_normalize_fit_on_row_subset():

@@ -179,3 +179,37 @@ def test_pick_falls_back_where_no_gain_is_positive(name, monkeypatch):
         assert got.kkt_violation == want.kkt_violation and str(got) == str(want)
     else:
         assert got == want
+
+
+def _count_curvatures(monkeypatch, make_cols, y, p, C, a, max_passes):
+    """Solve once; return the working indices the passes asked curv for,
+    in order, and the indices smo.curvature computed rows for."""
+    asked, computed = [], []
+
+    def counted(diag, i, *rest):
+        computed.append(i)
+        return curvature(diag, i, *rest)
+
+    curvature = smo.curvature
+    monkeypatch.setattr(smo, "curvature", counted)
+    cols = make_cols()
+    curv = cols.curv
+    cols.curv = lambda i: asked.append(i) or curv(i)
+    smo.solve(cols, y, p, C, a.copy(), max_passes)
+    return asked, computed
+
+
+@pytest.mark.parametrize("name", ["svdd-n150-C1", "svdd-n1200"])
+def test_dense_computes_each_working_index_curvature_once(name, monkeypatch):
+    """The hypersphere's solve asks for the curvature row of its working
+    index on every pass; Dense computes each index's row once and keeps it,
+    and the solve still returns the plain loop's bytes (above)."""
+    asked, computed = _count_curvatures(monkeypatch, *_DUALS[name])
+    assert sorted(computed) == sorted(set(asked))
+    assert len(asked) > 2 * len(computed)
+
+
+def test_kernel_cache_computes_curvature_every_pass(monkeypatch):
+    """The SVM's column source keeps no curvature rows: one per pass."""
+    asked, computed = _count_curvatures(monkeypatch, *_DUALS["svm-n400-overlapping"])
+    assert computed == asked and len(asked) > len(set(asked))
