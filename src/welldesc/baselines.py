@@ -216,8 +216,8 @@ def train_csvm(X, y, kernel: KernelSpec | None = None, C_svm: float = 1.0,
     Xn, y, stats = _two_class_input(X, y, norm_stats)
     if kernel is None:
         kernel = KernelSpec()
-    if not C_svm > 0:
-        raise InvalidConfig(f"C_svm must be positive, got {C_svm}")
+    if not 0 < C_svm < np.inf:
+        raise InvalidConfig(f"C_svm must be positive and finite, got {C_svm}")
     n = Xn.shape[0]
     yy = np.where(y == LOW, 1.0, -1.0)
     C = float(C_svm)

@@ -48,7 +48,7 @@ from .errors import (
     WelldescError,
 )
 from .evaluation import RunRecord, compare_report, confusion, g_mean, sensitivity, specificity, timed
-from .kernels import KernelSpec
+from .kernels import ERBF, GAUSSIAN, POLYNOMIAL, KernelSpec
 from .persist import save_model
 from .relief import relief_weights, select_top
 from .svdd import SvddTrainConfig
@@ -139,8 +139,8 @@ def _resolve_settings(args: argparse.Namespace) -> Settings:
         raise InvalidConfig(f"threshold must lie in (0, 1), got {s.threshold}")
     if not 0.0 < s.cost <= 1.0:
         raise InvalidConfig(f"cost must lie in (0, 1], got {s.cost}")
-    if not s.csvm_cost > 0:
-        raise InvalidConfig(f"csvm_cost must be positive, got {s.csvm_cost}")
+    if not 0 < s.csvm_cost < np.inf:
+        raise InvalidConfig(f"csvm_cost must be positive and finite, got {s.csvm_cost}")
     if s.relief_k < 1:
         raise InvalidConfig(f"relief_k must be at least 1, got {s.relief_k}")
     if s.max_passes is not None and s.max_passes < 1:
@@ -255,9 +255,9 @@ def run_blind_tests(labeled, kernel: KernelSpec, cost: float, classifiers=None,
     work; with relief_k set, the top relief_k Relief features are then kept
     in `labeled` (select_features) and printed. None for classifiers or
     test_wells means all of them. The hypersphere trains on the minority rows
-    of the other wells; the two-class baselines train on all of their rows.
-    Feature normalization is fitted per split on the training wells and
-    shared by every classifier.
+    of the other wells (SplitPlan.train_rows); the two-class baselines train
+    on all of their rows (SplitPlan.fit_rows). Feature normalization is
+    fitted per split on fit_rows and shared by every classifier.
 
     Every classifier is scored on the split's test rows: the held-out well
     plus the majority rows of the other wells. So each baseline's
@@ -298,13 +298,12 @@ def run_blind_tests(labeled, kernel: KernelSpec, cost: float, classifiers=None,
     records, failed = [], False
     for well in test_wells:
         plan = split_leave_one_well_out(labeled, well)
-        train_all = np.flatnonzero(labeled.well_ids != well)
-        stats = normalize_fit(labeled.X, train_all)
+        stats = normalize_fit(labeled.X, plan.fit_rows)
         X_test = labeled.X[plan.test_rows]
         y_test = labeled.y[plan.test_rows]
         for name in classifiers:
             minority_only, fit, predict = table[name]
-            rows = plan.train_rows if minority_only else train_all
+            rows = plan.train_rows if minority_only else plan.fit_rows
             try:
                 model, t_train = timed(lambda: fit(labeled.X[rows], labeled.y[rows], stats))
                 y_pred, t_test = timed(lambda: predict(model, X_test))
@@ -377,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", parents=[common], help="leave-one-well-out benchmark")
     p.add_argument("--input", metavar="CSV", help="prepared table")
     p.add_argument("--threshold", type=float)
-    p.add_argument("--kernel", choices=("gaussian", "polynomial", "erbf"))
+    p.add_argument("--kernel", choices=(GAUSSIAN, POLYNOMIAL, ERBF))
     p.add_argument("--width", type=float)
     p.add_argument("--degree", type=int)
     p.add_argument("--offset", type=float)

@@ -108,11 +108,12 @@ class LabeledDataset:
 
 @dataclass
 class SplitPlan:
-    """Row indices of one leave-one-well-out blind test."""
+    """Row indices of one leave-one-well-out blind test, each in rising order."""
 
     test_well: str
     train_rows: np.ndarray  # minority rows of the other wells
     test_rows: np.ndarray   # majority rows of the other wells + every row of test_well
+    fit_rows: np.ndarray    # every row of the other wells: scaling and the baselines fit on them
 
 
 @dataclass
@@ -506,16 +507,18 @@ def resample_uniform(t: WellTable, spacing: float | None = AUTO) -> WellTable:
 
 
 def binarize_target(t: WellTable, threshold: float = 0.7) -> LabeledDataset:
-    """Label each row HIGH when target >= threshold, LOW otherwise."""
+    """Label each row HIGH when target >= threshold, LOW otherwise.
+
+    X and well_ids are t's arrays, shared, not copied: rebind X, never write into it."""
     if not 0.0 < threshold < 1.0:
         raise InvalidConfig(f"threshold must lie in (0, 1), got {threshold}")
     if not np.isfinite(t.target).all() or not np.isfinite(t.features).all():
         raise NonFiniteInput("table still has missing or infinite cells; run drop_invalid first")
     y = np.where(t.target >= threshold, HIGH, LOW)
     return LabeledDataset(
-        X=t.features.copy(),
+        X=t.features,
         y=y.astype(int),
-        well_ids=t.well_ids.copy(),
+        well_ids=t.well_ids,
         feature_names=list(t.feature_names),
         wells=list(t.wells),
     )
@@ -526,16 +529,17 @@ def split_leave_one_well_out(d: LabeledDataset, test_well) -> SplitPlan:
 
     Training rows are the minority (LOW) rows of the other wells. Test rows
     are the majority rows of those wells plus every row of the held-out well,
-    so the blind well is scored in full.
+    so the blind well is scored in full. Fit rows are every row of the other wells.
     """
     if test_well not in d.wells:
         raise UnknownWell(f"unknown well {test_well!r}; have {d.wells}")
-    in_test_well = d.well_ids == test_well
-    train = np.flatnonzero(~in_test_well & (d.y == LOW))
+    others = d.well_ids != test_well
+    train = np.flatnonzero(others & (d.y == LOW))
     if train.size == 0:
         raise NoMinorityTrainingData(f"no LOW rows outside well {test_well!r}")
-    test = np.flatnonzero(in_test_well | (d.y == HIGH))
-    return SplitPlan(test_well=test_well, train_rows=train, test_rows=test)
+    test = np.flatnonzero(~others | (d.y == HIGH))
+    return SplitPlan(test_well=test_well, train_rows=train, test_rows=test,
+                     fit_rows=np.flatnonzero(others))
 
 
 def normalize_fit(X, rows=None) -> NormStats:

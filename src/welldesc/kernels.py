@@ -66,9 +66,10 @@ class KernelSpec:
             raise InvalidConfig(f"unknown kernel family {self.family!r}")
         # the screen divides by width**2, which is subnormal below about 1.5e-154
         # (0.0 below about 1.5e-162): 1 / width**2 then overflows its operands
-        if self.family in (GAUSSIAN, ERBF) and not (self.width > 0 and self.width * self.width >= _TINY):
+        if self.family in (GAUSSIAN, ERBF) and not (0 < self.width < math.inf
+                                                    and self.width * self.width >= _TINY):
             raise InvalidConfig(f"kernel width must be positive with a nonzero square that is not "
-                                f"subnormal, got {self.width!r}")
+                                f"subnormal, and finite, got {self.width!r}")
         if self.family == POLYNOMIAL:
             if not 2 <= self.degree <= 10:
                 raise InvalidConfig("polynomial degree must lie in [2, 10]")
@@ -83,8 +84,9 @@ class KernelSpec:
 
     @staticmethod
     def parse(line: str) -> "KernelSpec":
-        """Inverse of describe(). A width or offset that is not finite, or a
-        width whose square is 0 or subnormal, is malformed: no trainer writes one."""
+        """Inverse of describe(). A line the constructor refuses, or an offset
+        that is not finite, is malformed: no trainer writes one. load_model
+        turns the constructor's InvalidConfig into MalformedFile."""
         fields = {}
         for token in line.split():
             if "=" not in token:
@@ -97,7 +99,7 @@ class KernelSpec:
                 spec = KernelSpec(family=family, degree=int(fields.pop("degree")),
                                   offset=_finite(fields.pop("offset")))
             else:
-                spec = KernelSpec(family=family, width=_width(fields.pop("width")))
+                spec = KernelSpec(family=family, width=float(fields.pop("width")))
         except (KeyError, ValueError) as exc:
             raise MalformedFile(f"bad kernel line {line!r}") from exc
         if fields:
@@ -109,13 +111,6 @@ def _finite(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"{text!r} is not finite")
-    return value
-
-
-def _width(text: str) -> float:
-    value = _finite(text)
-    if value * value < _TINY:
-        raise ValueError(f"{text!r} squares to 0 or a subnormal number")
     return value
 
 

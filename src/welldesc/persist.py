@@ -134,9 +134,8 @@ def _table(keys: tuple, *columns) -> list:
 
 
 def _dump_svdd(m) -> list:
-    live = m.alphas != 0.0
     return [f"C={_fmt(m.C)}", f"r2={_fmt(m.r2)}", f"self_term={_fmt(m.self_term)}",
-            *_norm_lines(m.norm_stats), *_table(("alpha", "x"), m.alphas[live], m.X_train[live])]
+            *_norm_lines(m.norm_stats), *_table(("alpha", "x"), *_svdd._live(m))]
 
 
 def _load_svdd(fields, kernel, path, v1: bool = False) -> _svdd.SvddModel:

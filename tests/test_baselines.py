@@ -23,6 +23,7 @@ from welldesc import (
 from welldesc import baselines, smo
 from welldesc.errors import (
     DimensionMismatch,
+    InvalidConfig,
     NonConvergence,
     NonFiniteInput,
     SingleClassInput,
@@ -320,6 +321,14 @@ def test_svm_single_class_rejected():
     X = np.arange(10.0).reshape(5, 2)
     with pytest.raises(SingleClassInput):
         train_csvm(X, np.array([HIGH] * 5), WIDE, 1.0)
+
+
+@pytest.mark.parametrize("C_svm", [0.0, -1.0, math.nan, math.inf])
+def test_svm_cost_must_be_positive_and_finite(C_svm):
+    """An infinite box would make the solver's lower bound inf - inf."""
+    X = np.arange(10.0).reshape(5, 2)
+    with pytest.raises(InvalidConfig, match="C_svm must be positive"):
+        train_csvm(X, np.array([LOW, HIGH, LOW, HIGH, LOW]), WIDE, C_svm)
 
 
 def test_svm_nonconvergence_with_tiny_budget():

@@ -334,6 +334,7 @@ def test_every_traced_name_exists():
     (["run", "--csvm-cost", "nan"], "csvm_cost must be positive"),
     (["run", "--csvm-cost", "0"], "csvm_cost must be positive"),
     (["run", "--csvm-cost", "-1", "--classifiers", "gnb"], "csvm_cost must be positive"),
+    (["run", "--csvm-cost", "inf"], "csvm_cost must be positive"),
     (["run", "--relief-k", "9"], "relief_k must lie in [1, 4]"),
     (["features", "--relief-k", "9"], "relief_k must lie in [1, 4]"),
     (["run", "--classifiers", "svdd,forest"], "unknown classifier 'forest'"),
@@ -343,9 +344,10 @@ def test_every_traced_name_exists():
     (["run", "--test-wells", ","], "the test well list is empty"),
     (["run", "--width", "1e-200"], "kernel width must be positive with a nonzero square"),
     (["run", "--width", "1e-155"], "kernel width must be positive with a nonzero square that is not subnormal"),
-], ids=["csvm-nan", "csvm-zero", "csvm-negative-unused", "run-k", "features-k",
+    (["run", "--width", "inf"], "kernel width must be positive with a nonzero square that is not subnormal"),
+], ids=["csvm-nan", "csvm-zero", "csvm-negative-unused", "csvm-inf", "run-k", "features-k",
         "classifier", "well", "repeat", "classifier-empty", "well-empty", "width-underflow",
-        "width-subnormal-square"])
+        "width-subnormal-square", "width-inf"])
 def test_bad_setting_fails_before_relief(tmp_path, monkeypatch, capsys, argv, message):
     prepared = prepare_in_process(tmp_path)
     capsys.readouterr()

@@ -943,6 +943,8 @@ def test_split_counts_and_membership():
     in_c = d.well_ids[plan.test_rows] == "C"
     assert int(np.count_nonzero(in_c)) == 12
     assert np.all(d.y[plan.test_rows[~in_c]] == HIGH)
+    assert np.array_equal(plan.fit_rows, np.flatnonzero(d.well_ids != "C"))
+    assert np.isin(plan.train_rows, plan.fit_rows).all()
 
 
 def test_split_unknown_well():

@@ -65,9 +65,9 @@ def test_width_must_be_positive():
     with pytest.raises(InvalidConfig):
         KernelSpec(width=-1.5)
     # positive, but its square underflows to 0.0 or to a subnormal number,
-    # and scoring divides by it
+    # and scoring divides by it; or infinite, which makes every kernel value 1
     for family in ("gaussian", "erbf"):
-        for width in (1e-200, 1e-160, 1e-155):
+        for width in (1e-200, 1e-160, 1e-155, math.inf):
             with pytest.raises(InvalidConfig):
                 KernelSpec(family=family, width=width)
     assert KernelSpec(width=1e-150).width == 1e-150

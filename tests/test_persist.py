@@ -320,6 +320,8 @@ _MALFORMED = {
                                 "bad kernel line"),
     "kernel-width-square-subnormal": ("svdd", lambda t: _swap_first(t, "kernel=", "kernel=erbf width=1e-155"),
                                       "bad kernel line"),
+    "kernel-width-inf": ("svdd", lambda t: _swap_first(t, "kernel=", "kernel=gaussian width=inf"),
+                         "bad kernel line"),
     "kernel-line-extra-fields": ("svm", lambda t: _swap_first(t, "kernel=", "kernel=gaussian width=2.0 degree=3"),
                                  r"unexpected kernel fields \['degree'\]"),
     "tag-only": ("svdd", lambda t: t.split("\n")[0] + "\n", "truncated model"),
