@@ -31,7 +31,7 @@ from .svdd import (
     radius2_of,
     train,
 )
-from .relief import FeatureWeights, relief_weights, select_top
+from .relief import relief_weights, select_top
 from .baselines import (
     GnbModel,
     LdaModel,

@@ -193,16 +193,16 @@ def cmd_prepare(s: Settings) -> int:
     table = drop_invalid(table)
     n_valid = table.n_rows
     table = resample_uniform(table, _spacing_of(s))
-    write_table(table, out / "prepared.csv")
-
     edges, counts = histogram(table.target, s.bins)
+    labeled = binarize_target(table, s.threshold)
+
+    write_table(table, out / "prepared.csv")
     with open_new(out / "histogram.csv", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bin_low", "bin_high", "count"])
         for b in range(counts.size):
             writer.writerow([f"{edges[b]:.6g}", f"{edges[b + 1]:.6g}", int(counts[b])])
 
-    labeled = binarize_target(table, s.threshold)
     n = labeled.y.size
     n_high = int(np.count_nonzero(labeled.y == HIGH))
     print(f"rows: {n_read} read, {n_valid} valid, {n} after resampling")
@@ -213,34 +213,32 @@ def cmd_prepare(s: Settings) -> int:
 
 
 def select_features(labeled, k: int):
-    """Keep the k features of largest Relief weight in `labeled`, in rank order.
+    """Relief weights of every feature in `labeled`, and the indices of the k
+    largest in rank order (select_top). `labeled` is left as it is.
 
-    k is checked before Relief runs. Returns the weights of every feature.
+    k is checked before Relief runs.
     """
     d = len(labeled.feature_names)
     if not 1 <= k <= d:
         raise InvalidK(f"relief_k must lie in [1, {d}] for {d} features, got {k}")
-    fw = relief_weights(labeled.X, labeled.y, labeled.feature_names)
-    top = select_top(fw, k)
-    labeled.X = labeled.X[:, top]
-    labeled.feature_names = [fw.feature_names[i] for i in top]
-    return fw
+    weights = relief_weights(labeled.X, labeled.y)
+    return weights, select_top(weights, k)
 
 
 def cmd_features(s: Settings) -> int:
     out = _out_dir(s)
     labeled = _load_labeled(s)
-    fw = select_features(labeled, s.relief_k)
-    order = np.argsort(-fw.weights, kind="stable")
+    names = labeled.feature_names
+    weights, top = select_features(labeled, s.relief_k)
     with open_new(out / "relief_weights.csv", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["feature", "weight"])
-        for i in order:
-            writer.writerow([fw.feature_names[i], f"{fw.weights[i]:.6g}"])
-    names = labeled.feature_names
+        for i in select_top(weights, len(names)):
+            writer.writerow([names[i], f"{weights[i]:.6g}"])
+    selected = [names[i] for i in top]
     with open_new(out / "selected_features.txt") as fh:
-        fh.write("\n".join(names) + "\n")
-    print(f"selected: {', '.join(names)}")
+        fh.write("\n".join(selected) + "\n")
+    print(f"selected: {', '.join(selected)}")
     print(f"wrote {out / 'relief_weights.csv'} and {out / 'selected_features.txt'}")
     return 0
 
@@ -252,12 +250,13 @@ def run_blind_tests(labeled, kernel: KernelSpec, cost: float, classifiers=None,
     """Leave-one-well-out protocol shared by the CLI and the benchmark tests.
 
     Returns (records, any_nonconvergence). Every name is checked before any
-    work; with relief_k set, the top relief_k Relief features are then kept
-    in `labeled` (select_features) and printed. None for classifiers or
-    test_wells means all of them. The hypersphere trains on the minority rows
-    of the other wells (SplitPlan.train_rows); the two-class baselines train
-    on all of their rows (SplitPlan.fit_rows). Feature normalization is
-    fitted per split on fit_rows and shared by every classifier.
+    work; with relief_k set, the splits then use only the top relief_k
+    Relief features (select_features), which are printed; `labeled` is left
+    as it is. None for classifiers or test_wells means all of them. The
+    hypersphere trains on the minority rows of the other wells
+    (SplitPlan.train_rows); the two-class baselines train on all of their
+    rows (SplitPlan.fit_rows). Feature normalization is fitted per split on
+    fit_rows and shared by every classifier.
 
     Every classifier is scored on the split's test rows: the held-out well
     plus the majority rows of the other wells. So each baseline's
@@ -291,21 +290,23 @@ def run_blind_tests(labeled, kernel: KernelSpec, cost: float, classifiers=None,
     for name in classifiers:
         if name not in table:
             raise InvalidConfig(f"unknown classifier {name!r}; known: {', '.join(table)}")
+    X = labeled.X
     if relief_k is not None:
-        select_features(labeled, relief_k)
-        print(f"features: {', '.join(labeled.feature_names)}")
+        _, top = select_features(labeled, relief_k)
+        X = X[:, top]
+        print(f"features: {', '.join(labeled.feature_names[i] for i in top)}")
 
     records, failed = [], False
     for well in test_wells:
         plan = split_leave_one_well_out(labeled, well)
-        stats = normalize_fit(labeled.X, plan.fit_rows)
-        X_test = labeled.X[plan.test_rows]
+        stats = normalize_fit(X, plan.fit_rows)
+        X_test = X[plan.test_rows]
         y_test = labeled.y[plan.test_rows]
         for name in classifiers:
             minority_only, fit, predict = table[name]
             rows = plan.train_rows if minority_only else plan.fit_rows
             try:
-                model, t_train = timed(lambda: fit(labeled.X[rows], labeled.y[rows], stats))
+                model, t_train = timed(lambda: fit(X[rows], labeled.y[rows], stats))
                 y_pred, t_test = timed(lambda: predict(model, X_test))
             except NonConvergence:
                 failed = True

@@ -590,13 +590,16 @@ def histogram(values, bins: int):
     """Equal-width histogram over [min, max].
 
     Bins are half-open except the last, which also takes the maximum value.
-    Returns (edges, counts) with len(edges) == bins + 1.
+    Returns (edges, counts) with len(edges) == bins + 1. A NaN or infinite
+    value raises NonFiniteInput.
     """
     v = np.asarray(values, dtype=float).ravel()
     if v.size == 0:
         raise EmptyInput("histogram of nothing")
     if bins < 1:
         raise InvalidConfig("need at least one bin")
+    if not np.isfinite(v).all():
+        raise NonFiniteInput("histogram values must be finite")
     vmin, vmax = float(v.min()), float(v.max())
     edges = np.linspace(vmin, vmax, bins + 1)
     counts = np.zeros(bins, dtype=int)

@@ -24,7 +24,6 @@ one-row-at-a-time pass bit for bit.
 
 import os
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,14 +46,9 @@ def _cpus():
 _WORKERS = 2 if _cpus() >= 2 else 1
 
 
-@dataclass
-class FeatureWeights:
-    weights: np.ndarray
-    feature_names: list
-
-
-def relief_weights(X, y, feature_names=None) -> FeatureWeights:
-    """One deterministic full pass over the rows, in index order.
+def relief_weights(X, y) -> np.ndarray:
+    """Weight of each feature from one deterministic full pass over the
+    rows, in index order.
 
     Nearest hit and miss are found by Euclidean distance on the scaled
     features; ties go to the lowest row index. A constant feature scores
@@ -106,11 +100,7 @@ def relief_weights(X, y, feature_names=None) -> FeatureWeights:
     for t, near in ((terms[1::2], hit), (terms[2::2], miss)):
         np.abs(np.subtract(S[near], S, out=t), out=t)
     np.negative(terms[1::2], out=terms[1::2])
-    W = np.add.accumulate(terms, axis=0, out=terms)[-1] / n
-
-    if feature_names is None:
-        feature_names = [f"f{j + 1}" for j in range(d)]
-    return FeatureWeights(weights=W, feature_names=list(feature_names))
+    return np.add.accumulate(terms, axis=0, out=terms)[-1] / n
 
 
 def _nearest(Q, C, skip_self=False):
@@ -216,10 +206,10 @@ def _screen(qa, CA, out):
     np.matmul(qa, CA, out=out)
 
 
-def select_top(w: FeatureWeights, k: int = 4) -> list:
+def select_top(weights, k: int) -> list:
     """Indices of the k largest weights, descending; ties keep the lower index."""
-    d = len(w.weights)
+    d = len(weights)
     if not 1 <= k <= d:
         raise InvalidK(f"k must lie in [1, {d}], got {k}")
-    order = np.argsort(-w.weights, kind="stable")
+    order = np.argsort(-weights, kind="stable")
     return [int(i) for i in order[:k]]

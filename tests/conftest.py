@@ -36,7 +36,9 @@ def benchmark_dataset(seed, n_wells=4, rows=500, skew=0.97, n_features=6, relief
     table = gen_synthetic(SynthConfig(n_wells=n_wells, rows_per_well=rows,
                                       skew=skew, n_features=n_features, seed=seed))
     data = binarize_target(table, 0.7)
-    select_features(data, relief_k)
+    _, top = select_features(data, relief_k)
+    data.X = data.X[:, top]
+    data.feature_names = [data.feature_names[i] for i in top]
     return data
 
 

@@ -182,16 +182,16 @@ def test_acceptance_4_metric_arithmetic():
 # 5 ------------------------------------------------------------------------
 
 def test_acceptance_5_feature_ranking():
-    fw = relief_weights(np.array([[0.0], [0.1], [0.9], [1.0]]),
-                        np.array([LOW, LOW, HIGH, HIGH]))
-    ok = abs(fw.weights[0] - 0.75) <= 1e-12
+    w = relief_weights(np.array([[0.0], [0.1], [0.9], [1.0]]),
+                       np.array([LOW, LOW, HIGH, HIGH]))
+    ok = abs(w[0] - 0.75) <= 1e-12
 
     hits = 0
     for seed in range(1, 11):
         table = gen_synthetic(SynthConfig(n_wells=1, rows_per_well=250, skew=0.9,
                                           n_features=4, seed=seed))
         data = binarize_target(table, 0.7)
-        w = relief_weights(data.X, data.y).weights
+        w = relief_weights(data.X, data.y)
         hits += bool(min(w[0], w[1]) > max(w[2], w[3]))
     ok = ok and hits == 10
     print(f"\n  hand weight ok, informative features on top in {hits}/10 seeds")

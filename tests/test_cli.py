@@ -25,13 +25,6 @@ def synth_small(tmp_path, seed="1"):
     return tmp_path / "synthetic.csv"
 
 
-def prepare_small(tmp_path, seed="1"):
-    synth_small(tmp_path, seed)
-    r = cli("prepare", "--input", "synthetic.csv", "--out", ".", cwd=tmp_path)
-    assert r.returncode == 0, r.stderr
-    return tmp_path / "prepared.csv"
-
-
 def rows_of(path):
     return path.read_text().strip().split("\n")[1:]
 
@@ -144,6 +137,20 @@ def test_prepare_bad_spacing_exits_two(tmp_path, spacing):
     assert not (tmp_path / "prepared.csv").exists()
 
 
+@pytest.mark.parametrize("bins", ["0", "-1"])
+def test_prepare_bad_bins_writes_nothing(tmp_path, capsys, bins):
+    """The histogram and the labels are made before any file is written."""
+    assert welldesc.cli.main(["synth", *SMALL_SYNTH, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    code = welldesc.cli.main(["prepare", "--input", str(tmp_path / "synthetic.csv"),
+                              "--bins", bins, "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == "error: need at least one bin\n"
+    assert not (tmp_path / "prepared.csv").exists()
+    assert not (tmp_path / "histogram.csv").exists()
+
+
 def test_prepare_missing_input_file(tmp_path):
     r = cli("prepare", "--input", "nope.csv", "--out", ".", cwd=tmp_path)
     assert r.returncode == 2
@@ -217,7 +224,7 @@ def test_prepare_cell_over_the_csv_field_limit_exits_two(tmp_path, capsys):
 # ----------------------------------------------------------------- features
 
 def test_features_outputs_sorted_weights(tmp_path):
-    prepare_small(tmp_path)
+    prepare_in_process(tmp_path)
     r = cli("features", "--input", "prepared.csv", "--relief-k", "2",
             "--out", ".", cwd=tmp_path)
     assert r.returncode == 0
@@ -229,16 +236,34 @@ def test_features_outputs_sorted_weights(tmp_path):
 
 
 def test_features_k_larger_than_feature_count(tmp_path):
-    prepare_small(tmp_path)
+    prepare_in_process(tmp_path)
     r = cli("features", "--input", "prepared.csv", "--relief-k", "9",
             "--out", ".", cwd=tmp_path)
     assert r.returncode == 2
 
 
+def test_selection_leaves_the_dataset_as_it_is(tmp_path):
+    """run_blind_tests uses the selected columns without rewriting the
+    caller's dataset, and select_features picks what `features` lists."""
+    prepared = prepare_in_process(tmp_path)
+    assert welldesc.cli.main(["features", "--input", str(prepared), "--relief-k", "2",
+                              "--out", str(tmp_path)]) == 0
+    labeled = welldesc.cli._load_labeled(welldesc.cli.Settings(input=str(prepared)))
+    X, names = labeled.X.copy(), list(labeled.feature_names)
+    _, top = welldesc.cli.select_features(labeled, 2)
+    listed = (tmp_path / "selected_features.txt").read_text(encoding="utf-8").split()
+    assert [names[i] for i in top] == listed
+    _, failed = welldesc.cli.run_blind_tests(labeled, welldesc.KernelSpec(width=2.0), 0.25,
+                                             relief_k=2)
+    assert not failed
+    assert labeled.feature_names == names
+    assert labeled.X.tobytes() == X.tobytes() and labeled.X.shape == X.shape
+
+
 # ---------------------------------------------------------------------- run
 
 def run_small(tmp_path, *extra):
-    prepare_small(tmp_path)
+    prepare_in_process(tmp_path)
     return cli("run", "--input", "prepared.csv", "--cost", "0.25",
                "--relief-k", "2", "--out", ".", *extra, cwd=tmp_path)
 
@@ -413,7 +438,7 @@ def test_run_overflowing_scaling_exits_two(tmp_path, capsys, recwarn, classifier
 
 
 def test_run_relief_k_too_large(tmp_path):
-    prepare_small(tmp_path)
+    prepare_in_process(tmp_path)
     r = cli("run", "--input", "prepared.csv", "--cost", "0.25",
             "--relief-k", "40", "--out", ".", cwd=tmp_path)
     assert r.returncode == 2
@@ -535,7 +560,7 @@ def test_directory_at_an_output_path_exits_two(tmp_path):
 # ------------------------------------------------------------------- config
 
 def test_config_file_supplies_settings(tmp_path):
-    prepare_small(tmp_path)
+    prepare_in_process(tmp_path)
     (tmp_path / "run.cfg").write_text(
         "# benchmark settings\n"
         "input=prepared.csv\n"
@@ -549,7 +574,7 @@ def test_config_file_supplies_settings(tmp_path):
 
 
 def test_flags_override_config_file(tmp_path):
-    prepare_small(tmp_path)
+    prepare_in_process(tmp_path)
     (tmp_path / "run.cfg").write_text(
         "input=prepared.csv\ncost=0.25\nrelief_k=2\nclassifiers=gnb\n",
         encoding="utf-8")
@@ -561,7 +586,7 @@ def test_flags_override_config_file(tmp_path):
 
 
 def test_config_unknown_key_rejected(tmp_path):
-    prepare_small(tmp_path)
+    prepare_in_process(tmp_path)
     (tmp_path / "run.cfg").write_text("inptu=prepared.csv\n", encoding="utf-8")
     r = cli("run", "--config", "run.cfg", cwd=tmp_path)
     assert r.returncode == 2
@@ -579,7 +604,7 @@ def test_config_values_cast_by_annotation(tmp_path):
 
 
 def test_config_bad_value_rejected(tmp_path):
-    prepare_small(tmp_path)
+    prepare_in_process(tmp_path)
     (tmp_path / "run.cfg").write_text("cost=lots\n", encoding="utf-8")
     r = cli("run", "--config", "run.cfg", cwd=tmp_path)
     assert r.returncode == 2

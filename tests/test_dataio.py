@@ -1076,6 +1076,12 @@ def test_histogram_empty_input():
         histogram(np.array([]), 3)
 
 
+@pytest.mark.parametrize("values", [[np.nan, 1.0], [1.0, np.inf]], ids=["nan", "inf"])
+def test_histogram_non_finite_value_rejected(values):
+    with pytest.raises(NonFiniteInput, match="histogram values must be finite"):
+        histogram(np.array(values), 3)
+
+
 def test_histogram_counts_everything_once():
     rng = np.random.default_rng(22)
     v = rng.uniform(size=500)

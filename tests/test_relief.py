@@ -29,16 +29,16 @@ def test_hand_worked_one_dimensional_case():
     # {0, 0.1} vs {0.9, 1.0}: per-row contributions 0.8, 0.7, 0.7, 0.8
     X = np.array([[0.0], [0.1], [0.9], [1.0]])
     y = np.array([LOW, LOW, HIGH, HIGH])
-    fw = relief_weights(X, y)
-    assert abs(fw.weights[0] - 0.75) <= 1e-12
+    w = relief_weights(X, y)
+    assert abs(w[0] - 0.75) <= 1e-12
 
 
 def test_constant_feature_scores_exactly_zero():
     X = np.array([[0.0, 5.0], [0.1, 5.0], [0.9, 5.0], [1.0, 5.0]])
     y = np.array([LOW, LOW, HIGH, HIGH])
-    fw = relief_weights(X, y)
-    assert fw.weights[1] == 0.0
-    assert fw.weights[0] > 0.0
+    w = relief_weights(X, y)
+    assert w[1] == 0.0
+    assert w[0] > 0.0
 
 
 def test_all_features_constant_rejected():
@@ -61,10 +61,10 @@ def test_weights_invariant_under_feature_rescaling():
     X = rng.normal(size=(30, 4))
     y = (rng.uniform(size=30) < 0.4).astype(int)
     y[:2] = [LOW, HIGH]   # both classes guaranteed
-    base = relief_weights(X, y).weights
+    base = relief_weights(X, y)
 
     scaled = X * np.array([3.7, 1.0, 0.002, -5.0]) + np.array([-2.0, 0.0, 40.0, 1.0])
-    moved = relief_weights(scaled, y).weights
+    moved = relief_weights(scaled, y)
     assert np.all(np.abs(moved - base) <= 1e-12)
 
 
@@ -73,55 +73,38 @@ def test_weights_deterministic():
     X = rng.normal(size=(25, 3))
     y = (rng.uniform(size=25) < 0.5).astype(int)
     y[:2] = [LOW, HIGH]
-    a = relief_weights(X, y)
-    b = relief_weights(X, y)
-    assert np.array_equal(a.weights, b.weights)
-
-
-def test_default_feature_names():
-    X = np.array([[0.0, 1.0], [0.1, 0.9], [1.0, 0.0], [0.9, 0.2]])
-    y = np.array([LOW, LOW, HIGH, HIGH])
-    assert relief_weights(X, y).feature_names == ["f1", "f2"]
+    assert np.array_equal(relief_weights(X, y), relief_weights(X, y))
 
 
 def test_select_top_orders_by_weight():
-    from welldesc.relief import FeatureWeights
-    fw = FeatureWeights(weights=np.array([0.3, 0.1, 0.2]),
-                        feature_names=["a", "b", "c"])
-    assert select_top(fw, 2) == [0, 2]
+    assert select_top(np.array([0.3, 0.1, 0.2]), 2) == [0, 2]
 
 
 def test_select_top_tie_keeps_lowest_index():
-    from welldesc.relief import FeatureWeights
-    fw = FeatureWeights(weights=np.array([0.5, 0.5, 0.5]),
-                        feature_names=["a", "b", "c"])
-    assert select_top(fw, 1) == [0]
+    assert select_top(np.array([0.5, 0.5, 0.5]), 1) == [0]
 
 
 def test_select_top_k_out_of_range():
-    from welldesc.relief import FeatureWeights
-    fw = FeatureWeights(weights=np.array([0.5, 0.2]),
-                        feature_names=["a", "b"])
+    w = np.array([0.5, 0.2])
     with pytest.raises(InvalidK):
-        select_top(fw, 0)
+        select_top(w, 0)
     with pytest.raises(InvalidK):
-        select_top(fw, 3)
+        select_top(w, 3)
 
 
 def test_constant_feature_never_beats_a_positive_one():
     X = np.array([[0.0, 7.0], [0.1, 7.0], [0.9, 7.0], [1.0, 7.0]])
     y = np.array([LOW, LOW, HIGH, HIGH])
-    fw = relief_weights(X, y)
-    assert select_top(fw, 1) == [0]
+    assert select_top(relief_weights(X, y), 1) == [0]
 
 
 def test_informative_features_outrank_noise_on_synthetic_data():
     table = gen_synthetic(SynthConfig(n_wells=1, rows_per_well=250, skew=0.9,
                                       n_features=4, seed=1))
     data = binarize_target(table, 0.7)
-    fw = relief_weights(data.X, data.y, data.feature_names)
+    w = relief_weights(data.X, data.y)
     # generator layout: first two carry the classes, last two are noise
-    names = {fw.feature_names[i] for i in select_top(fw, 2)}
+    names = {data.feature_names[i] for i in select_top(w, 2)}
     assert names == {"f1", "f2"}
 
 
@@ -289,7 +272,7 @@ def test_weights_bit_identical_to_per_row_pass(monkeypatch, build):
     expected = reference_relief(X, y)
     for workers in (1, 2):
         monkeypatch.setattr(relief, "_WORKERS", workers)
-        assert np.array_equal(relief_weights(X, y).weights, expected), workers
+        assert np.array_equal(relief_weights(X, y), expected), workers
 
 
 def test_weights_bit_identical_with_small_uneven_blocks(monkeypatch):
@@ -310,7 +293,7 @@ def test_weights_bit_identical_with_small_uneven_blocks(monkeypatch):
     y = np.array([LOW] * 40 + [HIGH] * 10)
     rng.shuffle(y)
     X = rng.normal(size=(50, 3))
-    assert np.array_equal(relief_weights(X, y).weights, reference_relief(X, y))
+    assert np.array_equal(relief_weights(X, y), reference_relief(X, y))
     assert {(0, 24, 6), (24, 40, 6)} <= set(ranges)
 
 
@@ -358,7 +341,7 @@ def test_weights_survive_screen_error_within_half_its_bound(monkeypatch, build):
 
     monkeypatch.setattr(relief, "_screen", noisy)
     X, y = build()
-    assert np.array_equal(relief_weights(X, y).weights, reference_relief(X, y))
+    assert np.array_equal(relief_weights(X, y), reference_relief(X, y))
     assert sum(calls) >= len(X)  # every query row was screened through the noise
 
 
@@ -394,5 +377,5 @@ def test_weights_do_not_depend_on_layout(build):
     X, y = build()
     C = np.ascontiguousarray(X, dtype=float)
     F = np.asfortranarray(X, dtype=float)
-    expected = relief_weights(C, y).weights
-    assert relief_weights(F, y).weights.tobytes() == expected.tobytes()
+    expected = relief_weights(C, y)
+    assert relief_weights(F, y).tobytes() == expected.tobytes()
