@@ -25,7 +25,6 @@ from .svdd import (
     INSIDE,
     OUTSIDE,
     SvddModel,
-    SvddTrainConfig,
     decide,
     predict,
     radius2_of,

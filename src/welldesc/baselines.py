@@ -199,7 +199,7 @@ class _KernelColumns:
         return out
 
 
-def train_csvm(X, y, kernel: KernelSpec | None = None, C_svm: float = 1.0,
+def train_csvm(X, y, kernel: KernelSpec = KernelSpec(), C_svm: float = 1.0,
                max_passes: int | None = None, norm_stats: NormStats | None = None) -> SvmModel:
     """Soft-margin kernel SVM, its dual solved by the shared pairwise solver.
 
@@ -214,8 +214,6 @@ def train_csvm(X, y, kernel: KernelSpec | None = None, C_svm: float = 1.0,
     dense Gram's; after it only the summation order of the refresh differs.
     """
     Xn, y, stats = _two_class_input(X, y, norm_stats)
-    if kernel is None:
-        kernel = KernelSpec()
     if not 0 < C_svm < np.inf:
         raise InvalidConfig(f"C_svm must be positive and finite, got {C_svm}")
     n = Xn.shape[0]
@@ -224,7 +222,7 @@ def train_csvm(X, y, kernel: KernelSpec | None = None, C_svm: float = 1.0,
     beta, v, up, low = smo.solve(_KernelColumns(kernel, Xn), yy, -np.ones(n), C, np.zeros(n),
                                  max_passes)
 
-    unbounded = (beta > smo.TOL) & (beta < C - smo.TOL)
+    unbounded = smo.free(beta, C)
     if unbounded.any():
         bias = float(v[unbounded].mean())
     else:

@@ -51,7 +51,6 @@ from .evaluation import RunRecord, compare_report, confusion, g_mean, sensitivit
 from .kernels import ERBF, GAUSSIAN, POLYNOMIAL, KernelSpec
 from .persist import save_model
 from .relief import relief_weights, select_top
-from .svdd import SvddTrainConfig
 from .svdd import predict as svdd_predict
 from .svdd import train as svdd_train
 
@@ -135,14 +134,10 @@ def _resolve_settings(args: argparse.Namespace) -> Settings:
         flag = getattr(args, f.name, None)
         if flag is not None:
             setattr(s, f.name, flag)
-    if not 0.0 < s.threshold < 1.0:
-        raise InvalidConfig(f"threshold must lie in (0, 1), got {s.threshold}")
     if not 0.0 < s.cost <= 1.0:
         raise InvalidConfig(f"cost must lie in (0, 1], got {s.cost}")
     if not 0 < s.csvm_cost < np.inf:
         raise InvalidConfig(f"csvm_cost must be positive and finite, got {s.csvm_cost}")
-    if s.relief_k < 1:
-        raise InvalidConfig(f"relief_k must be at least 1, got {s.relief_k}")
     if s.max_passes is not None and s.max_passes < 1:
         raise InvalidConfig(f"max_passes must be at least 1, got {s.max_passes}")
     return s
@@ -267,9 +262,8 @@ def run_blind_tests(labeled, kernel: KernelSpec, cost: float, classifiers=None,
     # name -> (trains on the minority rows only, train(X, y, stats), predict).
     # Built per call, so each entry is the module global the caller sees now.
     table = {
-        "svdd": (True, lambda X, y, stats: svdd_train(
-            X, SvddTrainConfig(kernel=kernel, C=cost, max_passes=max_passes), stats),
-            svdd_predict),
+        "svdd": (True, lambda X, y, stats: svdd_train(X, kernel, cost, max_passes, stats),
+                 svdd_predict),
         "svm": (False, lambda X, y, stats: train_csvm(
             X, y, kernel, csvm_cost, max_passes=max_passes, norm_stats=stats), predict_csvm),
         "gnb": (False, train_gnb, predict_gnb),

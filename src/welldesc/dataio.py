@@ -294,9 +294,12 @@ def load_table(path, schema: list | None = None) -> WellTable:
     """Read a well CSV whose header carries well, depth, and the schema columns.
 
     The last schema column is the target; schema=None takes every header
-    column but well and depth, in header order. Empty cells and the -999.25
-    null sentinel are marked missing. Rows are grouped by well (first-appearance
-    order) and sorted by depth; a duplicated depth within a well is an error.
+    column but well and depth, in header order. A header that names well,
+    depth or a schema column twice is malformed, as only one copy could
+    load; a schema may repeat a column the header names once. Empty cells
+    and the -999.25 null sentinel are marked missing. Rows are grouped by
+    well (first-appearance order) and sorted by depth; a duplicated depth
+    within a well is an error.
     A file whose rows are already so ordered, with strictly increasing depths
     in each well, as write_table writes them, is taken in file order without
     a sort: the table's depth, features and target are then views of one
@@ -341,6 +344,9 @@ def load_table(path, schema: list | None = None) -> WellTable:
             for name in ("well", "depth", *schema):
                 if name not in header:
                     raise MalformedFile(f"{path}: missing column {name!r}")
+                if header.count(name) > 1:
+                    raise MalformedFile(f"{path}: column {name!r} appears {header.count(name)} "
+                                        "times in the header")
             col = {name: header.index(name) for name in header}
 
             parsed = _read_fast(fh, len(header), col, ["depth", *schema])
@@ -591,7 +597,8 @@ def histogram(values, bins: int):
 
     Bins are half-open except the last, which also takes the maximum value.
     Returns (edges, counts) with len(edges) == bins + 1. A NaN or infinite
-    value raises NonFiniteInput.
+    value raises NonFiniteInput, and so does a range max - min that
+    overflows a float.
     """
     v = np.asarray(values, dtype=float).ravel()
     if v.size == 0:
@@ -601,6 +608,9 @@ def histogram(values, bins: int):
     if not np.isfinite(v).all():
         raise NonFiniteInput("histogram values must be finite")
     vmin, vmax = float(v.min()), float(v.max())
+    if vmax - vmin == math.inf:
+        raise NonFiniteInput(f"histogram values must be finite with a finite range, "
+                             f"got [{vmin!r}, {vmax!r}]")
     edges = np.linspace(vmin, vmax, bins + 1)
     counts = np.zeros(bins, dtype=int)
     if vmax == vmin:

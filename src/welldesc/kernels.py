@@ -73,8 +73,8 @@ class KernelSpec:
         if self.family == POLYNOMIAL:
             if not 2 <= self.degree <= 10:
                 raise InvalidConfig("polynomial degree must lie in [2, 10]")
-            if not self.offset >= 0:
-                raise InvalidConfig("polynomial offset must be >= 0")
+            if not 0 <= self.offset < math.inf:
+                raise InvalidConfig(f"polynomial offset must be >= 0 and finite, got {self.offset!r}")
 
     def describe(self) -> str:
         """One-line serialized form used in model files."""
@@ -84,9 +84,9 @@ class KernelSpec:
 
     @staticmethod
     def parse(line: str) -> "KernelSpec":
-        """Inverse of describe(). A line the constructor refuses, or an offset
-        that is not finite, is malformed: no trainer writes one. load_model
-        turns the constructor's InvalidConfig into MalformedFile."""
+        """Inverse of describe(). A line the constructor refuses is malformed:
+        no trainer writes one. load_model turns the constructor's
+        InvalidConfig into MalformedFile."""
         fields = {}
         for token in line.split():
             if "=" not in token:
@@ -97,7 +97,7 @@ class KernelSpec:
             family = fields.pop("kernel")
             if family == POLYNOMIAL:
                 spec = KernelSpec(family=family, degree=int(fields.pop("degree")),
-                                  offset=_finite(fields.pop("offset")))
+                                  offset=float(fields.pop("offset")))
             else:
                 spec = KernelSpec(family=family, width=float(fields.pop("width")))
         except (KeyError, ValueError) as exc:
@@ -105,13 +105,6 @@ class KernelSpec:
         if fields:
             raise MalformedFile(f"unexpected kernel fields {sorted(fields)}")
         return spec
-
-
-def _finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"{text!r} is not finite")
-    return value
 
 
 def _feature_sum(T: np.ndarray) -> np.ndarray:

@@ -33,7 +33,12 @@ import numpy as np
 
 from .errors import NonConvergence, NonFiniteInput
 
-TOL = 1e-6  # the stopping gap; both trainers also read a multiplier within TOL of a bound as on it
+TOL = 1e-6  # the stopping gap; free() reads a multiplier within TOL of a bound as on it
+
+
+def free(a: np.ndarray, C: float) -> np.ndarray:
+    """Mask of the multipliers off both bounds of [0, C] by more than TOL."""
+    return (a > TOL) & (a < C - TOL)
 
 
 def curvature(diag: np.ndarray, i: int, Ki: np.ndarray, out: np.ndarray,

@@ -39,13 +39,6 @@ OUTSIDE = "outside"
 
 
 @dataclass
-class SvddTrainConfig:
-    kernel: KernelSpec
-    C: float = 1.0
-    max_passes: int | None = None   # None: the solver's default cap
-
-
-@dataclass
 class SvddModel:
     X_train: np.ndarray      # stored target vectors, already normalized
     alphas: np.ndarray
@@ -62,9 +55,11 @@ def _self_term(G: np.ndarray, alphas: np.ndarray) -> float:
     return float(alphas @ (G @ alphas))
 
 
-def train(X_target, cfg: SvddTrainConfig, norm_stats: NormStats | None = None) -> SvddModel:
+def train(X_target, kernel: KernelSpec, C: float = 1.0, max_passes: int | None = None,
+          norm_stats: NormStats | None = None) -> SvddModel:
     """Fit the hypersphere to one class of training vectors.
 
+    max_passes caps the solver's passes; None leaves smo.solve's default.
     norm_stats defaults to the identity; pass stats fitted on the training
     rows to bake z-scoring into the model.
     """
@@ -74,24 +69,24 @@ def train(X_target, cfg: SvddTrainConfig, norm_stats: NormStats | None = None) -
     n = X.shape[0]
     if n == 0:
         raise EmptyTrainingSet("no target vectors")
-    C = float(cfg.C)
+    C = float(C)
     if C < 1.0 / n - 1e-12 or C > 1.0 + 1e-12:
         raise InfeasibleCost(f"C={C} outside [1/n, 1] for n={n}")
 
     stats = norm_stats if norm_stats is not None else NormStats.identity(X.shape[1])
     Xn = normalize_apply(stats, X)
-    G = gram(cfg.kernel, Xn)
+    G = gram(kernel, Xn)
     # -L(a) = 1/2 a'(2G)a - diag(G)'a; scaling by 2 in place is exact and
     # spares a second n x n matrix
     p = -G.diagonal()
     G *= 2.0
-    alphas = smo.solve(smo.Dense(G), np.ones(n), p, C, np.full(n, 1.0 / n), cfg.max_passes)[0]
+    alphas = smo.solve(smo.Dense(G), np.ones(n), p, C, np.full(n, 1.0 / n), max_passes)[0]
     G *= 0.5
 
     Ka = G @ alphas
     self_term = float(alphas @ Ka)
     r2_each = G.diagonal() - 2.0 * Ka + self_term
-    unbounded = (alphas > smo.TOL) & (alphas < C - smo.TOL)
+    unbounded = smo.free(alphas, C)
     if unbounded.any():
         r2 = float(r2_each[unbounded].max())
     else:
@@ -102,7 +97,7 @@ def train(X_target, cfg: SvddTrainConfig, norm_stats: NormStats | None = None) -
     return SvddModel(
         X_train=Xn,
         alphas=alphas,
-        kernel=cfg.kernel,
+        kernel=kernel,
         C=C,
         r2=r2,
         self_term=self_term,

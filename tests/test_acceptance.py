@@ -21,7 +21,6 @@ from welldesc import (
     ConfusionCounts,
     NormStats,
     RunRecord,
-    SvddTrainConfig,
     SynthConfig,
     binarize_target,
     compare_report,
@@ -68,7 +67,7 @@ def test_acceptance_1_solver_matches_reference_optimum():
         C = float(rng.uniform(1.0 / n, 1.0))
 
         K = gram(spec, X)
-        m = train(X, SvddTrainConfig(kernel=spec, C=C))
+        m = train(X, spec, C)
         a = solve_dual_bruteforce(K, C)
         worst_obj = max(worst_obj, abs(dual_objective(K, m.alphas)
                                        - dual_objective(K, a)))
@@ -90,14 +89,14 @@ def test_acceptance_1_solver_matches_reference_optimum():
 # 2 ------------------------------------------------------------------------
 
 def test_acceptance_2_closed_form_models():
-    single = train(np.array([[1.0, 2.0]]), SvddTrainConfig(kernel=WIDE, C=1.0))
+    single = train(np.array([[1.0, 2.0]]), WIDE, 1.0)
 
     x1, x2 = np.array([0.0, 0.0]), np.array([1.0, 0.0])
-    two = train(np.vstack([x1, x2]), SvddTrainConfig(kernel=WIDE, C=1.0))
+    two = train(np.vstack([x1, x2]), WIDE, 1.0)
     k = math.exp(-0.25)
 
     tri = train(np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]]),
-                SvddTrainConfig(kernel=WIDE, C=1.0))
+                WIDE, 1.0)
 
     ok = (single.r2 == 0.0
           and np.all(np.abs(two.alphas - 0.5) <= 1e-9)
@@ -116,7 +115,7 @@ def _model_corpus():
     for X in (np.array([[1.0, 2.0]]),
               np.array([[0.0, 0.0], [1.0, 0.0]]),
               np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])):
-        corpus.append((train(X, SvddTrainConfig(kernel=WIDE, C=1.0)), X))
+        corpus.append((train(X, WIDE, 1.0), X))
 
     for i in range(30):
         rng = np.random.default_rng(8000 + i)
@@ -125,21 +124,19 @@ def _model_corpus():
         X = rng.normal(0.0, 1.5, size=(n, d))
         spec = KernelSpec(width=float(rng.uniform(0.5, 3.0)))
         C = float(rng.uniform(1.0 / n, 1.0))
-        corpus.append((train(X, SvddTrainConfig(kernel=spec, C=C)), X))
+        corpus.append((train(X, spec, C), X))
 
     rng = np.random.default_rng(8100)
     X = rng.normal(size=(20, 3))
-    corpus.append((train(X, SvddTrainConfig(kernel=KernelSpec(family="erbf", width=1.5),
-                                            C=0.2)), X))
+    corpus.append((train(X, KernelSpec(family="erbf", width=1.5), 0.2), X))
     X = rng.normal(0.0, 0.8, size=(15, 2))
-    corpus.append((train(X, SvddTrainConfig(
-        kernel=KernelSpec(family="polynomial", degree=3, offset=1.0), C=0.4)), X))
+    corpus.append((train(X, KernelSpec(family="polynomial", degree=3, offset=1.0), 0.4), X))
 
     data = benchmark_dataset(seed=1)
     plan = split_leave_one_well_out(data, "A")
     stats = normalize_fit(data.X, np.flatnonzero(data.well_ids != "A"))
     Xb = data.X[plan.train_rows]
-    corpus.append((train(Xb, SvddTrainConfig(kernel=WIDE, C=BENCH_COST), stats), Xb))
+    corpus.append((train(Xb, WIDE, BENCH_COST, norm_stats=stats), Xb))
     return corpus
 
 
@@ -284,7 +281,7 @@ def test_acceptance_8_persistence_round_trip(tmp_path):
     rng = np.random.default_rng(81)
     X = rng.normal(size=(60, 4))
     stats = NormStats(mean=X.mean(axis=0), std=X.std(axis=0))
-    m = train(X, SvddTrainConfig(kernel=WIDE, C=0.1), stats)
+    m = train(X, WIDE, 0.1, norm_stats=stats)
 
     path = tmp_path / "model.txt"
     save_model(m, path)

@@ -346,26 +346,29 @@ def test_svm_rejects_labels_of_another_length():
         train_csvm(X, np.array([LOW, HIGH, LOW, HIGH]), WIDE, 1.0)
 
 
-# case -> (kernel, NaN in one training row, the warning the kernel raises).
-# (x.x + 1e300)^3 overflows to inf; an inf offset is inf without overflowing.
+# case -> (kernel arguments, NaN in one training row, the warning the kernel
+# raises, the error and its message). (x.x + 1e300)^3 overflows to inf;
+# KernelSpec itself refuses an inf offset, before any training.
 NON_FINITE = {
-    "offset-inf": (KernelSpec(family="polynomial", offset=math.inf), False, None),
-    "offset-1e300": (KernelSpec(family="polynomial", offset=1e300), False, "overflow encountered"),
-    "nan-row": (WIDE, True, None),
+    "offset-inf": ({"family": "polynomial", "offset": math.inf}, False, None,
+                   (InvalidConfig, "polynomial offset must be >= 0 and finite, got inf")),
+    "offset-1e300": ({"family": "polynomial", "offset": 1e300}, False, "overflow encountered",
+                     (NonFiniteInput, "not finite")),
+    "nan-row": ({"width": 2.0}, True, None, (NonFiniteInput, "not finite")),
 }
 
 
 @pytest.mark.parametrize("case", list(NON_FINITE))
 def test_svm_non_finite_kernel_rejected(case):
     """A kernel that is inf or NaN on the training rows fails, not a NaN model."""
-    kernel, nan_row, warning = NON_FINITE[case]
+    kernel, nan_row, warning, (error, message) = NON_FINITE[case]
     X = np.random.default_rng(9).normal(size=(12, 3))
     y = np.array([LOW, HIGH] * 6)
     if nan_row:
         X[4, 1] = math.nan
     with pytest.warns(RuntimeWarning, match=warning) if warning else contextlib.nullcontext():
-        with pytest.raises(NonFiniteInput, match="not finite"):
-            train_csvm(X, y, kernel, 1.0)
+        with pytest.raises(error, match=message):
+            train_csvm(X, y, KernelSpec(**kernel), 1.0)
 
 
 def test_svm_deterministic():

@@ -137,16 +137,20 @@ def test_prepare_bad_spacing_exits_two(tmp_path, spacing):
     assert not (tmp_path / "prepared.csv").exists()
 
 
-@pytest.mark.parametrize("bins", ["0", "-1"])
-def test_prepare_bad_bins_writes_nothing(tmp_path, capsys, bins):
+@pytest.mark.parametrize("flags, message", [
+    (["--bins", "0"], "need at least one bin"),
+    (["--bins", "-1"], "need at least one bin"),
+    (["--threshold", "1.5"], "threshold must lie in (0, 1), got 1.5"),
+], ids=["0", "-1", "threshold"])
+def test_prepare_bad_bins_writes_nothing(tmp_path, capsys, flags, message):
     """The histogram and the labels are made before any file is written."""
     assert welldesc.cli.main(["synth", *SMALL_SYNTH, "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     code = welldesc.cli.main(["prepare", "--input", str(tmp_path / "synthetic.csv"),
-                              "--bins", bins, "--out", str(tmp_path)])
+                              *flags, "--out", str(tmp_path)])
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
-    assert err == "error: need at least one bin\n"
+    assert err == f"error: {message}\n"
     assert not (tmp_path / "prepared.csv").exists()
     assert not (tmp_path / "histogram.csv").exists()
 
@@ -362,6 +366,8 @@ def test_every_traced_name_exists():
     (["run", "--csvm-cost", "inf"], "csvm_cost must be positive"),
     (["run", "--relief-k", "9"], "relief_k must lie in [1, 4]"),
     (["features", "--relief-k", "9"], "relief_k must lie in [1, 4]"),
+    (["features", "--relief-k", "0"], "relief_k must lie in [1, 4] for 4 features, got 0"),
+    (["run", "--threshold", "1.5"], "threshold must lie in (0, 1), got 1.5"),
     (["run", "--classifiers", "svdd,forest"], "unknown classifier 'forest'"),
     (["run", "--test-wells", "A,Z"], "unknown well 'Z'"),
     (["run", "--classifiers", "gnb,gnb"], "a name repeats"),
@@ -370,9 +376,10 @@ def test_every_traced_name_exists():
     (["run", "--width", "1e-200"], "kernel width must be positive with a nonzero square"),
     (["run", "--width", "1e-155"], "kernel width must be positive with a nonzero square that is not subnormal"),
     (["run", "--width", "inf"], "kernel width must be positive with a nonzero square that is not subnormal"),
+    (["run", "--kernel", "polynomial", "--offset", "inf"], "polynomial offset must be >= 0 and finite"),
 ], ids=["csvm-nan", "csvm-zero", "csvm-negative-unused", "csvm-inf", "run-k", "features-k",
-        "classifier", "well", "repeat", "classifier-empty", "well-empty", "width-underflow",
-        "width-subnormal-square", "width-inf"])
+        "features-k-zero", "threshold", "classifier", "well", "repeat", "classifier-empty",
+        "well-empty", "width-underflow", "width-subnormal-square", "width-inf", "offset-inf"])
 def test_bad_setting_fails_before_relief(tmp_path, monkeypatch, capsys, argv, message):
     prepared = prepare_in_process(tmp_path)
     capsys.readouterr()
@@ -389,7 +396,8 @@ def test_bad_setting_fails_before_relief(tmp_path, monkeypatch, capsys, argv, me
     ("\nwell,depth,f1,sw\nA,1,0.5,0.5\n", "empty file"),
     ("well,depth,sw\nA,1,0.5\n", "need at least one feature column and a target column"),
     ("depth,f1,sw\n1,0.5,0.5\n", "missing column 'well'"),
-], ids=["empty", "blank-first-line", "no-feature-column", "no-well-column"])
+    ("well,depth,f1,f1,sw\nA,1,0.5,0.6,0.5\n", "column 'f1' appears 2 times in the header"),
+], ids=["empty", "blank-first-line", "no-feature-column", "no-well-column", "repeated-column"])
 def test_run_header_error_exits_two(tmp_path, capsys, text, message):
     path = tmp_path / "h.csv"
     path.write_text(text, encoding="utf-8")
@@ -398,10 +406,13 @@ def test_run_header_error_exits_two(tmp_path, capsys, text, message):
     assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
 
 
-# case -> (run flags, the warning raised on the way)
+# case -> (run flags, the warning raised on the way, the error's start).
+# KernelSpec refuses an inf offset; (x.x + 1e300)^3 overflows in the solver.
 _NON_FINITE_RUNS = {
-    "offset-inf": (["--kernel", "polynomial", "--offset", "inf"], None),
-    "offset-1e300": (["--kernel", "polynomial", "--offset", "1e300"], "overflow encountered in power"),
+    "offset-inf": (["--kernel", "polynomial", "--offset", "inf"], None,
+                   "polynomial offset must be >= 0 and finite, got inf"),
+    "offset-1e300": (["--kernel", "polynomial", "--offset", "1e300"], "overflow encountered in power",
+                     "kernel values on the training rows are not finite"),
 }
 
 
@@ -409,7 +420,7 @@ _NON_FINITE_RUNS = {
 @pytest.mark.parametrize("classifier", ["svdd", "svm"])
 def test_run_non_finite_kernel_exits_two(tmp_path, capsys, classifier, case):
     """A kernel that is inf or NaN on the training rows is an input error, not NaN models."""
-    flags, warning = _NON_FINITE_RUNS[case]
+    flags, warning, message = _NON_FINITE_RUNS[case]
     argv = ["run", "--input", str(prepare_in_process(tmp_path)), "--out", str(tmp_path), "--cost", "0.25",
             "--relief-k", "2", "--classifiers", classifier, *flags]
     capsys.readouterr()
@@ -417,7 +428,7 @@ def test_run_non_finite_kernel_exits_two(tmp_path, capsys, classifier, case):
         code = welldesc.cli.main(argv)
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("error: kernel values on the training rows are not finite")
+    assert err.startswith(f"error: {message}")
     assert not list(tmp_path.glob("model_*")) and not (tmp_path / "report.csv").exists()
 
 

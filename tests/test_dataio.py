@@ -3,6 +3,7 @@ import math
 import os
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -1076,10 +1077,13 @@ def test_histogram_empty_input():
         histogram(np.array([]), 3)
 
 
-@pytest.mark.parametrize("values", [[np.nan, 1.0], [1.0, np.inf]], ids=["nan", "inf"])
+@pytest.mark.parametrize("values", [[np.nan, 1.0], [1.0, np.inf], [-1e308, 1e308]],
+                         ids=["nan", "inf", "range-overflow"])
 def test_histogram_non_finite_value_rejected(values):
-    with pytest.raises(NonFiniteInput, match="histogram values must be finite"):
-        histogram(np.array(values), 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteInput, match="histogram values must be finite"):
+            histogram(np.array(values), 3)
 
 
 def test_histogram_counts_everything_once():

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import welldesc.cli
-from welldesc import (KernelSpec, NormStats, SvddTrainConfig, load_model, predict, predict_csvm,
+from welldesc import (KernelSpec, NormStats, load_model, predict, predict_csvm,
                       predict_gnb, predict_lda, save_model, train, train_csvm, train_gnb, train_lda)
 from welldesc import dataio
 from welldesc.dataio import SynthConfig, gen_synthetic, write_table
@@ -139,7 +139,7 @@ def _seed_models(tmp_path) -> tuple:
     X = X * [1.0, 10.0, 100.0] + [0.0, 50.0, 2000.0]
     y = np.array([0] * 20 + [1] * 20)
     stats = NormStats(mean=X.mean(axis=0), std=X.std(axis=0))
-    svdd = train(X[:20], SvddTrainConfig(kernel=KernelSpec(width=2.0), C=0.2), stats)
+    svdd = train(X[:20], KernelSpec(width=2.0), 0.2, norm_stats=stats)
     models = {"svdd": (svdd, predict),
               "svm": (train_csvm(X, y, KernelSpec(width=2.0), 1.0, norm_stats=stats), predict_csvm),
               "gnb": (train_gnb(X, y, stats), predict_gnb),

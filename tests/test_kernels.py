@@ -79,8 +79,9 @@ def test_polynomial_parameter_ranges():
         KernelSpec(family="polynomial", degree=1)
     with pytest.raises(InvalidConfig):
         KernelSpec(family="polynomial", degree=11)
-    with pytest.raises(InvalidConfig):
-        KernelSpec(family="polynomial", offset=-0.1)
+    for offset in (-0.1, math.inf, math.nan):
+        with pytest.raises(InvalidConfig):
+            KernelSpec(family="polynomial", offset=offset)
     KernelSpec(family="polynomial", degree=2, offset=0.0)
     KernelSpec(family="polynomial", degree=10)
 
@@ -323,7 +324,7 @@ def test_widths_near_the_floor_compute_without_warnings(family, width):
     stored vectors times 2/width**2, overflow. exp(-inf) = 0 is the kernel's
     value there, so every entry point stays silent and every value is 0 off the
     diagonal."""
-    from welldesc import SvddTrainConfig, predict, predict_csvm, train, train_csvm
+    from welldesc import predict, predict_csvm, train, train_csvm
     from welldesc.kernels import screen_sum
 
     spec = KernelSpec(family=family, width=width)
@@ -336,7 +337,7 @@ def test_widths_near_the_floor_compute_without_warnings(family, width):
         row = kernel_row(spec, X[0], X)
         acc, err = screen_sum(spec, np.ones(30), X, X)
         exact = kernels.kernel_sum(spec, np.ones(30), X, X)
-        m = train(X[:15], SvddTrainConfig(kernel=spec, C=1.0))
+        m = train(X[:15], spec, 1.0)
         labels = predict(m, X)
         svm = train_csvm(X, y, spec, 1.0)
         svm_labels = predict_csvm(svm, X)

@@ -7,7 +7,6 @@ import pytest
 from welldesc import (
     KernelSpec,
     NormStats,
-    SvddTrainConfig,
     decide,
     load_model,
     predict,
@@ -39,7 +38,7 @@ def test_svdd_file_round_trip_is_exact(tmp_path):
     rng = np.random.default_rng(71)
     X = rng.normal(size=(25, 3))
     stats = NormStats(mean=X.mean(axis=0), std=X.std(axis=0))
-    m = train(X, SvddTrainConfig(kernel=WIDE, C=0.3), stats)
+    m = train(X, WIDE, 0.3, norm_stats=stats)
     path = tmp_path / "m.txt"
     save_model(m, path)
     back = load_model(path)
@@ -82,7 +81,7 @@ def test_svdd_v1_file_still_loads_bit_exactly(tmp_path):
     rng = np.random.default_rng(77)
     X = rng.normal(size=(40, 3))
     stats = NormStats(mean=X.mean(axis=0), std=X.std(axis=0))
-    m = train(X, SvddTrainConfig(kernel=WIDE, C=0.2), stats)
+    m = train(X, WIDE, 0.2, norm_stats=stats)
     assert (m.alphas == 0.0).any()
     path = tmp_path / "v1.txt"
     path.write_text(_v1_text(m), encoding="utf-8")
@@ -103,7 +102,7 @@ def test_vector_lines_are_the_per_value_lines(tmp_path):
     rng = np.random.default_rng(78)
     X, y = _two_class_data(rng, n=40)
     stats = NormStats(mean=X.mean(axis=0), std=X.std(axis=0))
-    m = train(X[:20], SvddTrainConfig(kernel=WIDE, C=0.2), stats)
+    m = train(X[:20], WIDE, 0.2, norm_stats=stats)
     save_model(m, tmp_path / "d.txt")
     v1_vectors = [ln for ln in _v1_text(m).split("\n") if ln.startswith("alpha=")]
     want = [ln for ln in v1_vectors if not ln.startswith(("alpha=0 ", "alpha=-0 "))]
@@ -150,7 +149,7 @@ def _fitted(kind):
     X, y = _two_class_data(rng, n=20, d=2)
     stats = NormStats(mean=X.mean(axis=0), std=X.std(axis=0))
     if kind == "svdd":
-        m = train(X[:10], SvddTrainConfig(kernel=WIDE, C=0.5), stats)
+        m = train(X[:10], WIDE, 0.5, norm_stats=stats)
         return m, int(np.count_nonzero(m.alphas))
     if kind == "svm":
         m = train_csvm(X, y, WIDE, 1.0, norm_stats=stats)
@@ -244,7 +243,7 @@ def test_models_with_norm_stats_round_trip(tmp_path):
         (train_gnb(X, y, stats), predict_gnb),
         (train_lda(X, y, stats), predict_lda),
         (train_csvm(X, y, WIDE, 1.0, norm_stats=stats), predict_csvm),
-        (train(X[:20], SvddTrainConfig(kernel=WIDE, C=0.5), stats), predict),
+        (train(X[:20], WIDE, 0.5, norm_stats=stats), predict),
     ]
     for i, (model, predict_fn) in enumerate(pairs):
         path = tmp_path / f"m{i}.txt"

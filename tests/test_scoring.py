@@ -25,7 +25,6 @@ from welldesc import (
     KernelSpec,
     NormStats,
     SvddModel,
-    SvddTrainConfig,
     SvmModel,
     decide,
     eval_kernel,
@@ -97,7 +96,7 @@ def spec(request):
 @pytest.mark.parametrize("C", [0.1, 0.5, 1.0])
 def test_svdd_batch_matches_per_row(spec, C):
     X, _, queries, stats = sample(21)
-    m = train(X, SvddTrainConfig(kernel=spec, C=C), stats)
+    m = train(X, spec, C, norm_stats=stats)
     assert np.count_nonzero(m.alphas) >= 1
     ref = reference_radius2(m, queries)
     got = _radius2(m, queries)
@@ -114,7 +113,7 @@ def test_svdd_batch_matches_per_row(spec, C):
 def test_svdd_zero_weights_are_skipped():
     # at C = 1 most multipliers are exactly 0 and never reach the accumulator
     X, _, queries, stats = sample(22)
-    m = train(X, SvddTrainConfig(kernel=SPECS[0], C=1.0), stats)
+    m = train(X, SPECS[0], 1.0, norm_stats=stats)
     assert np.count_nonzero(m.alphas == 0.0) > 0
     assert_close(_radius2(m, queries), reference_radius2(m, queries))
 
@@ -143,7 +142,7 @@ def test_svm_without_support_vectors_uses_bias_sign(bias, label):
 
 def models(seed=25):
     X, y, _, stats = sample(seed)
-    svdd = train(X, SvddTrainConfig(kernel=SPECS[0], C=0.5), stats)
+    svdd = train(X, SPECS[0], 0.5, norm_stats=stats)
     svm = train_csvm(X, y, SPECS[0], 1.0, norm_stats=stats)
     empty_svm = SvmModel(kernel=SPECS[0], C_svm=1.0, betas=np.empty(0),
                          labels=np.empty(0), X_sv=np.empty((0, 3)), bias=0.1,
@@ -195,7 +194,7 @@ def planted_svdd(spec, C):
     so HIGH), every other training row, on the sphere or not, and random
     rows."""
     X, _, queries, _ = sample(31)
-    m = train(X, SvddTrainConfig(kernel=spec, C=C), NormStats.identity(3))
+    m = train(X, spec, C, norm_stats=NormStats.identity(3))
     on_sphere = X[(m.alphas > m.kkt_tol) & (m.alphas < m.C - m.kkt_tol)]
     assert len(on_sphere) >= 1
     target = r2 = float(_radius2(m, on_sphere[:1])[0])
@@ -249,7 +248,7 @@ def test_non_finite_rows_get_the_exact_loop_labels(spec):
     X, y, queries, stats = sample(34)
     Q = queries[:6].copy()
     Q[0, 0], Q[1, 1], Q[2, 2] = np.nan, np.inf, -np.inf
-    m = train(X, SvddTrainConfig(kernel=spec, C=0.5), stats)
+    m = train(X, spec, 0.5, norm_stats=stats)
     svm = train_csvm(X, y, spec, 1.0, norm_stats=stats)
     with np.errstate(invalid="ignore"):     # the exact loop's own inf - inf
         assert np.array_equal(predict(m, Q), exact_svdd_labels(m, Q))

@@ -11,13 +11,13 @@ from welldesc import (
     LOW,
     OUTSIDE,
     KernelSpec,
-    SvddTrainConfig,
     decide,
     predict,
     radius2_of,
     train,
 )
-from welldesc.errors import EmptyTrainingSet, InfeasibleCost, NonConvergence, NonFiniteInput
+from welldesc.errors import (EmptyTrainingSet, InfeasibleCost, InvalidConfig, NonConvergence,
+                             NonFiniteInput)
 from welldesc.kernels import gram
 
 import oracle
@@ -27,7 +27,7 @@ WIDE = KernelSpec(width=2.0)
 
 
 def train_simple(X, C=1.0, kernel=WIDE, **kw):
-    return train(np.asarray(X, dtype=float), SvddTrainConfig(kernel=kernel, C=C, **kw))
+    return train(np.asarray(X, dtype=float), kernel, C, **kw)
 
 
 # ------------------------------------------------------------- closed forms
@@ -130,7 +130,7 @@ def test_multiplier_feasibility_on_random_models():
     rng = np.random.default_rng(3)
     for _ in range(20):
         X, C, spec = random_instance(rng)
-        m = train(X, SvddTrainConfig(kernel=spec, C=C))
+        m = train(X, spec, C)
         assert abs(m.alphas.sum() - 1.0) <= 1e-9
         assert np.all(m.alphas >= -1e-12)
         assert np.all(m.alphas <= C + 1e-12)
@@ -144,7 +144,7 @@ def test_score_regimes_follow_multipliers():
     checked = 0
     for _ in range(20):
         X, C, spec = random_instance(rng)
-        m = train(X, SvddTrainConfig(kernel=spec, C=C))
+        m = train(X, spec, C)
         tol = m.kkt_tol
         scores = np.array([radius2_of(m, x) for x in X])
         free = (m.alphas > tol) & (m.alphas < C - tol)
@@ -196,29 +196,32 @@ def test_nonconvergence_reports_violation():
     rng = np.random.default_rng(8)
     X = rng.normal(size=(20, 3))
     with pytest.raises(NonConvergence) as err:
-        train(X, SvddTrainConfig(kernel=WIDE, C=0.2, max_passes=1))
+        train(X, WIDE, 0.2, max_passes=1)
     assert err.value.kkt_violation > 0.0
 
 
-# case -> (kernel, NaN in one training row, the warning the kernel raises).
-# (x.x + 1e300)^3 overflows to inf; an inf offset is inf without overflowing.
+# case -> (kernel arguments, NaN in one training row, the warning the kernel
+# raises, the error and its message). (x.x + 1e300)^3 overflows to inf;
+# KernelSpec itself refuses an inf offset, before any training.
 NON_FINITE = {
-    "offset-inf": (KernelSpec(family="polynomial", offset=math.inf), False, None),
-    "offset-1e300": (KernelSpec(family="polynomial", offset=1e300), False, "overflow encountered"),
-    "nan-row": (WIDE, True, None),
+    "offset-inf": ({"family": "polynomial", "offset": math.inf}, False, None,
+                   (InvalidConfig, "polynomial offset must be >= 0 and finite, got inf")),
+    "offset-1e300": ({"family": "polynomial", "offset": 1e300}, False, "overflow encountered",
+                     (NonFiniteInput, "not finite")),
+    "nan-row": ({"width": 2.0}, True, None, (NonFiniteInput, "not finite")),
 }
 
 
 @pytest.mark.parametrize("case", list(NON_FINITE))
 def test_non_finite_kernel_rejected(case):
     """A kernel that is inf or NaN on the training rows fails, not a NaN model."""
-    kernel, nan_row, warning = NON_FINITE[case]
+    kernel, nan_row, warning, (error, message) = NON_FINITE[case]
     X = np.random.default_rng(9).normal(size=(12, 3))
     if nan_row:
         X[4, 1] = math.nan
     with pytest.warns(RuntimeWarning, match=warning) if warning else contextlib.nullcontext():
-        with pytest.raises(NonFiniteInput, match="not finite"):
-            train_simple(X, C=0.5, kernel=kernel)
+        with pytest.raises(error, match=message):
+            train_simple(X, C=0.5, kernel=KernelSpec(**kernel))
 
 
 # -------------------------------------------- the solver before welldesc.smo
@@ -311,7 +314,7 @@ def test_training_is_bit_identical_to_the_pre_smo_solver():
                 X /= 3.0
             for C in (1.0 / n, float(rng.uniform(1.0 / n, 1.0)), 1.0):
                 want_a, want_r2, want_self = _reference_fit(X, C, spec)
-                m = train(X, SvddTrainConfig(kernel=spec, C=C))
+                m = train(X, spec, C)
                 assert m.alphas.tobytes() == want_a.tobytes(), (n, spec, C)
                 assert m.r2 == want_r2 and m.self_term == want_self, (n, spec, C)
                 checked += 1
@@ -319,7 +322,7 @@ def test_training_is_bit_identical_to_the_pre_smo_solver():
     # about 1900 passes, past the gradient refresh every 1024
     X = rng.normal(size=(1200, 3))
     want_a, want_r2, want_self = _reference_fit(X, 0.01, families[0])
-    m = train(X, SvddTrainConfig(kernel=families[0], C=0.01))
+    m = train(X, families[0], 0.01)
     assert m.alphas.tobytes() == want_a.tobytes()
     assert m.r2 == want_r2 and m.self_term == want_self
 
@@ -367,7 +370,7 @@ def test_oracle_respects_constraints(case):
     assert np.all(a >= -1e-12)
     assert np.all(a <= C + 1e-12)
     # and it is the optimum: no worse than the trainer's multipliers
-    trained = train(X, SvddTrainConfig(kernel=spec, C=C)).alphas
+    trained = train(X, spec, C).alphas
     assert dual_objective(K, a) >= dual_objective(K, trained) - 1e-9
 
 
