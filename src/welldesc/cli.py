@@ -1,7 +1,8 @@
 """Command-line pipeline: synth | prepare | features | run.
 
 Settings resolve in three layers: built-in defaults, then a flat key=value
-config file (# starts a comment), then command-line flags.
+config file (# starts a comment), then command-line flags. A flag's text and
+a config value are converted by one rule, _cast, from Settings' annotations.
 
 Exit codes: 0 ok, 2 bad configuration or input schema, an input or config
 file that is not UTF-8, a file the system cannot open or make (an OSError:
@@ -17,6 +18,7 @@ import re
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import get_args
 
 import numpy as np
 
@@ -48,7 +50,7 @@ from .errors import (
     WelldescError,
 )
 from .evaluation import RunRecord, compare_report, confusion, g_mean, sensitivity, specificity, timed
-from .kernels import ERBF, GAUSSIAN, POLYNOMIAL, KernelSpec
+from .kernels import KernelSpec
 from .persist import save_model
 from .relief import relief_weights, select_top
 from .svdd import predict as svdd_predict
@@ -70,7 +72,7 @@ class Settings:
     relief_k: int = 4
     classifiers: str = "svdd,svm,gnb,lda"
     test_wells: str = "ALL"
-    spacing: str = "AUTO"
+    spacing: float | None = None
     bins: int = 20
     max_passes: int | None = None
     wells: int = 4
@@ -83,12 +85,14 @@ _CASTS = {f.name: f.type for f in fields(Settings)}
 
 
 def _cast(key: str, raw: str):
+    """A flag's or a config line's text as the type Settings declares; an
+    optional number reads a blank, none or auto (any case) as None."""
     kind = _CASTS[key]
     try:
         if kind in (int, float):
             return kind(raw)
-        if kind == int | None:
-            return None if raw.lower() in ("", "none") else int(raw)
+        if kind in (int | None, float | None):
+            return None if raw.strip().lower() in ("", "none", "auto") else get_args(kind)[0](raw)
         return raw
     except ValueError as exc:
         raise InvalidConfig(f"bad value {raw!r} for {key}") from exc
@@ -133,7 +137,7 @@ def _resolve_settings(args: argparse.Namespace) -> Settings:
     for f in fields(Settings):
         flag = getattr(args, f.name, None)
         if flag is not None:
-            setattr(s, f.name, flag)
+            setattr(s, f.name, _cast(f.name, flag))
     if not 0.0 < s.cost <= 1.0:
         raise InvalidConfig(f"cost must lie in (0, 1], got {s.cost}")
     if not 0 < s.csvm_cost < np.inf:
@@ -151,15 +155,6 @@ def _out_dir(s: Settings) -> Path:
     out = Path(s.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _spacing_of(s: Settings):
-    if s.spacing.upper() == "AUTO":
-        return None
-    try:
-        return float(s.spacing)
-    except ValueError as exc:
-        raise InvalidConfig(f"bad value {s.spacing!r} for spacing") from exc
 
 
 def _load_input(s: Settings):
@@ -187,7 +182,7 @@ def cmd_prepare(s: Settings) -> int:
     n_read = table.n_rows
     table = drop_invalid(table)
     n_valid = table.n_rows
-    table = resample_uniform(table, _spacing_of(s))
+    table = resample_uniform(table, s.spacing)
     edges, counts = histogram(table.target, s.bins)
     labeled = binarize_target(table, s.threshold)
 
@@ -340,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="key=value settings file")
     common.add_argument("--out", metavar="DIR", help="output directory (default .)")
-    common.add_argument("--seed", type=int, metavar="U64", help="random seed")
+    common.add_argument("--seed", metavar="U64", help="random seed")
 
     parser = argparse.ArgumentParser(
         prog="welldesc",
@@ -348,39 +343,39 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", parents=[common], help="generate a synthetic multi-well table")
-    p.add_argument("--wells", type=int, help="number of wells")
-    p.add_argument("--rows", type=int, help="rows per well")
-    p.add_argument("--skew", type=float, help="majority fraction in (0, 1)")
-    p.add_argument("--features", type=int, help="feature count (last two are noise)")
+    p.add_argument("--wells", help="number of wells")
+    p.add_argument("--rows", help="rows per well")
+    p.add_argument("--skew", help="majority fraction in (0, 1)")
+    p.add_argument("--features", help="feature count (last two are noise)")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("prepare", parents=[common],
                        help="clean, resample, and summarize a well table")
     p.add_argument("--input", metavar="CSV", help="raw input table")
-    p.add_argument("--spacing", help="depth step, or AUTO for the per-well median")
-    p.add_argument("--threshold", type=float, help="HIGH label threshold on the target")
-    p.add_argument("--bins", type=int, help="histogram bin count")
+    p.add_argument("--spacing", help="depth step, or AUTO (or none) for the per-well median")
+    p.add_argument("--threshold", help="HIGH label threshold on the target")
+    p.add_argument("--bins", help="histogram bin count")
     p.set_defaults(func=cmd_prepare)
 
     p = sub.add_parser("features", parents=[common], help="rank features by relief weight")
     p.add_argument("--input", metavar="CSV", help="prepared table")
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--relief-k", type=int, help="how many features to keep")
+    p.add_argument("--threshold")
+    p.add_argument("--relief-k", help="how many features to keep")
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("run", parents=[common], help="leave-one-well-out benchmark")
     p.add_argument("--input", metavar="CSV", help="prepared table")
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--kernel", choices=(GAUSSIAN, POLYNOMIAL, ERBF))
-    p.add_argument("--width", type=float)
-    p.add_argument("--degree", type=int)
-    p.add_argument("--offset", type=float)
-    p.add_argument("--cost", type=float, help="hypersphere cost C in (0, 1]")
-    p.add_argument("--csvm-cost", type=float, help="baseline SVM box constraint")
-    p.add_argument("--relief-k", type=int)
+    p.add_argument("--threshold")
+    p.add_argument("--kernel", help="gaussian, polynomial or erbf")
+    p.add_argument("--width")
+    p.add_argument("--degree")
+    p.add_argument("--offset")
+    p.add_argument("--cost", help="hypersphere cost C in (0, 1]")
+    p.add_argument("--csvm-cost", help="baseline SVM box constraint")
+    p.add_argument("--relief-k")
     p.add_argument("--classifiers", help="comma list from: svdd,svm,gnb,lda")
     p.add_argument("--test-wells", help="comma list of wells, or ALL")
-    p.add_argument("--max-passes", type=int, help="solver iteration cap override")
+    p.add_argument("--max-passes", help="solver iteration cap override, or none for the default")
     p.set_defaults(func=cmd_run)
     return parser
 

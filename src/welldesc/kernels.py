@@ -60,6 +60,8 @@ class KernelSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "width", float(self.width))
+        if int(self.degree) != self.degree:
+            raise InvalidConfig(f"kernel degree must be an integer, got {self.degree!r}")
         object.__setattr__(self, "degree", int(self.degree))
         object.__setattr__(self, "offset", float(self.offset))
         if self.family not in _FAMILIES:

@@ -70,7 +70,7 @@ def train(X_target, kernel: KernelSpec, C: float = 1.0, max_passes: int | None =
     if n == 0:
         raise EmptyTrainingSet("no target vectors")
     C = float(C)
-    if C < 1.0 / n - 1e-12 or C > 1.0 + 1e-12:
+    if not 1.0 / n - 1e-12 <= C <= 1.0 + 1e-12:
         raise InfeasibleCost(f"C={C} outside [1/n, 1] for n={n}")
 
     stats = norm_stats if norm_stats is not None else NormStats.identity(X.shape[1])

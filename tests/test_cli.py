@@ -377,9 +377,12 @@ def test_every_traced_name_exists():
     (["run", "--width", "1e-155"], "kernel width must be positive with a nonzero square that is not subnormal"),
     (["run", "--width", "inf"], "kernel width must be positive with a nonzero square that is not subnormal"),
     (["run", "--kernel", "polynomial", "--offset", "inf"], "polynomial offset must be >= 0 and finite"),
+    (["run", "--kernel", "foo"], "unknown kernel family 'foo'"),
+    (["run", "--width", "abc"], "bad value 'abc' for width"),
 ], ids=["csvm-nan", "csvm-zero", "csvm-negative-unused", "csvm-inf", "run-k", "features-k",
         "features-k-zero", "threshold", "classifier", "well", "repeat", "classifier-empty",
-        "well-empty", "width-underflow", "width-subnormal-square", "width-inf", "offset-inf"])
+        "well-empty", "width-underflow", "width-subnormal-square", "width-inf", "offset-inf",
+        "kernel-unknown", "width-text"])
 def test_bad_setting_fails_before_relief(tmp_path, monkeypatch, capsys, argv, message):
     prepared = prepare_in_process(tmp_path)
     capsys.readouterr()
@@ -389,6 +392,36 @@ def test_bad_setting_fails_before_relief(tmp_path, monkeypatch, capsys, argv, me
     assert code == 2
     assert err.startswith("error: ") and message in err
     assert not calls and out == ""
+
+
+@pytest.mark.parametrize("key, value, err", [
+    ("kernel", "foo", "error: unknown kernel family 'foo'\n"),
+    ("width", "abc", "error: bad value 'abc' for width\n"),
+    ("degree", "2.5", "error: bad value '2.5' for degree\n"),
+    ("max_passes", "none", ""),
+], ids=["kernel", "width", "degree", "max-passes"])
+def test_flag_and_config_line_are_read_alike(tmp_path, monkeypatch, capsys, key, value, err):
+    """A flag and a config line go through one converter and one judge: the
+    same exit code, the same stderr and, where the settings resolve, the same
+    settings reach cmd_run."""
+    prepared = prepare_in_process(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}={value}\n", encoding="utf-8")
+    calls = count_calls(monkeypatch)
+    seen = []
+    cmd_run = welldesc.cli.cmd_run
+    monkeypatch.setattr(welldesc.cli, "cmd_run", lambda s: seen.append(s) or cmd_run(s))
+    outcomes = []
+    for given in (["--" + key.replace("_", "-"), value], ["--config", str(cfg)]):
+        capsys.readouterr()
+        code = welldesc.cli.main(["run", *given, "--classifiers", "svdd", "--test-wells", "A",
+                                  "--cost", "0.5", "--input", str(prepared), "--out", str(tmp_path)])
+        outcomes.append((code, capsys.readouterr().err))
+    assert outcomes == [(2 if err else 0, err)] * 2
+    assert seen[::2] == seen[1::2]  # both ways reach cmd_run with equal settings, or neither does
+    assert calls["relief_weights"] == (0 if err else 2)
+    if not err:
+        assert seen[0].max_passes is None
 
 
 @pytest.mark.parametrize("text, message", [
@@ -609,9 +642,12 @@ def test_config_values_cast_by_annotation(tmp_path):
                    "input=t.csv\nspacing=AUTO\n", encoding="utf-8")
     assert welldesc.cli.read_config_file(cfg) == {
         "seed": 7, "width": 1.5, "max_passes": None, "relief_k": 3,
-        "input": "t.csv", "spacing": "AUTO"}
-    cfg.write_text("max_passes=12\n", encoding="utf-8")
-    assert welldesc.cli.read_config_file(cfg) == {"max_passes": 12}
+        "input": "t.csv", "spacing": None}
+    cfg.write_text("max_passes=12\nspacing=0.5\n", encoding="utf-8")
+    assert welldesc.cli.read_config_file(cfg) == {"max_passes": 12, "spacing": 0.5}
+    for word in ("", "None", "auto", "AUTO"):
+        cfg.write_text(f"max_passes={word}\nspacing={word}\n", encoding="utf-8")
+        assert welldesc.cli.read_config_file(cfg) == {"max_passes": None, "spacing": None}
 
 
 def test_config_bad_value_rejected(tmp_path):

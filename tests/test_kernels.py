@@ -79,6 +79,8 @@ def test_polynomial_parameter_ranges():
         KernelSpec(family="polynomial", degree=1)
     with pytest.raises(InvalidConfig):
         KernelSpec(family="polynomial", degree=11)
+    with pytest.raises(InvalidConfig, match="degree must be an integer, got 2.9"):
+        KernelSpec(family="polynomial", degree=2.9)
     for offset in (-0.1, math.inf, math.nan):
         with pytest.raises(InvalidConfig):
             KernelSpec(family="polynomial", offset=offset)

@@ -63,8 +63,9 @@ def test_cost_below_one_over_n_rejected():
 
 def test_cost_above_one_rejected():
     X = np.random.default_rng(0).normal(size=(4, 2))
-    with pytest.raises(InfeasibleCost):
-        train_simple(X, C=1.2)
+    for C in (1.2, math.nan):
+        with pytest.raises(InfeasibleCost):
+            train_simple(X, C=C)
 
 
 def test_cost_at_one_over_n_is_feasible():
