@@ -46,13 +46,13 @@ from .errors import (
     NoMinorityTrainingData,
     NonConvergence,
     UndefinedClassAccuracy,
-    UnknownWell,
     WelldescError,
 )
 from .evaluation import RunRecord, compare_report, confusion, g_mean, sensitivity, specificity, timed
 from .kernels import KernelSpec
 from .persist import save_model
 from .relief import relief_weights, select_top
+from .svdd import check_cost
 from .svdd import predict as svdd_predict
 from .svdd import train as svdd_train
 
@@ -138,8 +138,6 @@ def _resolve_settings(args: argparse.Namespace) -> Settings:
         flag = getattr(args, f.name, None)
         if flag is not None:
             setattr(s, f.name, _cast(f.name, flag))
-    if not 0.0 < s.cost <= 1.0:
-        raise InvalidConfig(f"cost must lie in (0, 1], got {s.cost}")
     if not 0 < s.csvm_cost < np.inf:
         raise InvalidConfig(f"csvm_cost must be positive and finite, got {s.csvm_cost}")
     if s.max_passes is not None and s.max_passes < 1:
@@ -239,14 +237,16 @@ def run_blind_tests(labeled, kernel: KernelSpec, cost: float, classifiers=None,
                     relief_k: int | None = None):
     """Leave-one-well-out protocol shared by the CLI and the benchmark tests.
 
-    Returns (records, any_nonconvergence). Every name is checked before any
-    work; with relief_k set, the splits then use only the top relief_k
-    Relief features (select_features), which are printed; `labeled` is left
-    as it is. None for classifiers or test_wells means all of them. The
-    hypersphere trains on the minority rows of the other wells
-    (SplitPlan.train_rows); the two-class baselines train on all of their
-    rows (SplitPlan.fit_rows). Feature normalization is fitted per split on
-    fit_rows and shared by every classifier.
+    Returns (records, any_nonconvergence). Before any work every name is
+    checked, every split planned (SplitPlan) and, if svdd runs, its cost
+    judged against each split's minority row count (svdd.check_cost). With
+    relief_k set, the splits then use only the top relief_k Relief features
+    (select_features), which are printed; `labeled` is left as it is. None
+    for classifiers or test_wells means all of them. The hypersphere trains
+    on the minority rows of the other wells (SplitPlan.train_rows); the
+    two-class baselines train on all of their rows (SplitPlan.fit_rows).
+    Feature normalization is fitted per split on fit_rows and shared by
+    every classifier.
 
     Every classifier is scored on the split's test rows: the held-out well
     plus the majority rows of the other wells. So each baseline's
@@ -273,12 +273,13 @@ def run_blind_tests(labeled, kernel: KernelSpec, cost: float, classifiers=None,
             raise InvalidConfig(f"the {kind} list is empty")
         if len(set(names)) < len(names):
             raise InvalidConfig(f"a name repeats in {', '.join(names)}")
-    for well in test_wells:
-        if well not in labeled.wells:
-            raise UnknownWell(f"unknown well {well!r}; have {labeled.wells}")
     for name in classifiers:
         if name not in table:
             raise InvalidConfig(f"unknown classifier {name!r}; known: {', '.join(table)}")
+    plans = [split_leave_one_well_out(labeled, well) for well in test_wells]
+    if "svdd" in classifiers:
+        for plan in plans:
+            check_cost(cost, plan.train_rows.size)
     X = labeled.X
     if relief_k is not None:
         _, top = select_features(labeled, relief_k)
@@ -286,8 +287,8 @@ def run_blind_tests(labeled, kernel: KernelSpec, cost: float, classifiers=None,
         print(f"features: {', '.join(labeled.feature_names[i] for i in top)}")
 
     records, failed = [], False
-    for well in test_wells:
-        plan = split_leave_one_well_out(labeled, well)
+    for plan in plans:
+        well = plan.test_well
         stats = normalize_fit(X, plan.fit_rows)
         X_test = X[plan.test_rows]
         y_test = labeled.y[plan.test_rows]

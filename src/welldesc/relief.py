@@ -9,12 +9,9 @@ rank geometry, not on units.
 The nearest-neighbor search is split by class and done in blocks: a class's
 rows are queried against that class's own rows for hits and against every
 other row for misses, a block of query rows at a time, so no row-level mask
-is built and the temporary memory stays bounded whatever the row count. On a
-machine with two or more CPUs the blocks are shared out between two threads
-in two contiguous ranges; numpy releases the interpreter lock inside each
-block's product and reductions, and each row's neighbor is computed the same
-way by either thread. Each block is screened with one matrix product,
-‖c‖² − 2q·c, whose rounding error has a known bound. A row whose best and
+is built and the temporary memory stays bounded whatever the row count.
+Each block is screened with one float32 matrix product, ‖c‖² − 2q·c, whose
+rounding error has a bound derived in _nearest. A row whose best and
 second-best screen values lie within that bound is re-checked with the exact
 distance the per-row pass uses, over every candidate within the bound, and
 the first minimum wins. The weight vector adds the per-row terms one after
@@ -22,28 +19,13 @@ another in row order, so the weights equal those of the plain
 one-row-at-a-time pass bit for bit.
 """
 
-import os
-import threading
-
 import numpy as np
 
 from .errors import ConstantAllFeatures, DimensionMismatch, InvalidK, NonFiniteInput, SingleClassInput
 
-# Query×candidate entries in one worker's screen block: 1 MB of float64,
-# however many rows the input has.
+# Query×candidate entries in one screen block: 0.5 MB of float32, however
+# many rows the input has.
 _BLOCK_ENTRIES = 131072
-
-
-def _cpus():
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-# Threads that share one search: the calling thread and at most one more.
-_WORKERS = 2 if _cpus() >= 2 else 1
 
 
 def relief_weights(X, y) -> np.ndarray:
@@ -55,14 +37,14 @@ def relief_weights(X, y) -> np.ndarray:
     exactly 0. A row whose class has no second member contributes only its
     miss term. A NaN or infinite cell raises NonFiniteInput.
 
-    The search runs per class in blocks of ``max(1, 131072 // m)`` query rows
-    against m candidates, so each block holds about 1 MB, on up to two
-    threads with one block buffer each. A GEMM screen ranks the candidates;
+    The search runs per class, on the calling thread, in blocks of
+    ``max(1, 131072 // m)`` query rows against m candidates, so each float32
+    block holds about 0.5 MB. A float32 GEMM screen ranks the candidates;
     any candidate the screen cannot tell from the best within its rounding
-    bound is re-measured as ``sqrt(sum((x - c)**2))``, the per-row pass's
-    own expression. W adds ``-hit_0, +miss_0, -hit_1, ...`` left to right;
-    the weights are therefore bit-identical to a per-row loop, whatever the
-    thread count.
+    bound is re-measured in float64 as ``sqrt(sum((x - c)**2))``, the
+    per-row pass's own expression. W adds ``-hit_0, +miss_0, -hit_1, ...``
+    left to right; the weights are therefore bit-identical to a per-row
+    loop, whatever the BLAS kernel.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
@@ -111,80 +93,53 @@ def _nearest(Q, C, skip_self=False):
     distance that decides is the per-row pass's, bit for bit.
 
     All values lie in [0, 1], so ‖c‖² ≤ d. The screen s = ‖c‖² − 2q·c is one
-    (d+1)-term product, [−2q, 1]·[c, ‖c‖²], whose terms are at most 2 in
-    magnitude apart from ‖c‖²: in any BLAS order it lies within
-    (d+1)·3d·eps/2 of the product's exact value, and the computed ‖c‖² within
-    d²·eps/2 of the exact one, so s differs from the exact ‖q − c‖² − ‖q‖² by
-    at most (4d+3)d·eps/2. The per-row pass's sum of squares, with its
-    subtractions and squares, is within (d+2)d·eps/2 of exact, and its square
-    root moves ties by at most 2d·eps. So the true nearest row lies within
-    (5d+7)d·eps of the screen's minimum; ``tol`` is more than 12 times that.
-    A row with no second candidate that close keeps the screen's argmin,
-    which then is the exact one.
+    float32 product of the (d+1)-vectors [−2q, 1] and [c, ‖c‖²], with u the
+    float32 unit roundoff (2⁻²⁴), to first order in u:
 
-    The queries go in blocks of ``max(1, _BLOCK_ENTRIES // m)`` rows. With
-    two workers and at least two blocks, the first half of the blocks runs
-    in the calling thread and the rest in one more thread, each through
-    _search into its own slice of the result; the calling thread allocates
-    both threads' block buffers. An error in the other thread is raised here
-    once it has ended.
+    - rounding −2q and c to float32 moves each of the d terms 2q_k·c_k by at
+      most 4u, so 4d·u in all; ‖c‖², summed in float64 and then rounded,
+      moves by at most d·u (the float64 sum's d²·2⁻⁵³ is left to tol);
+    - the d rounded terms are at most 2 in magnitude and ‖c‖² at most d, so
+      the product adds at most γ_{d+1}·3d = 3d(d+1)·u in any BLAS order
+      (Higham 2002, §3.1);
+    - where a value underflows, float32 rounding is off by up to 2⁻¹⁵⁰ at
+      most: an underflowing −2q_k moves its term by that, c_k by twice that,
+      and ‖c‖² and each of the d products by that, (4d+1)·2⁻¹⁵⁰ in all.
+
+    So s lies within e = (3d(d+1) + 5d)·u + (4d+1)·2⁻¹⁵⁰ of the exact
+    ‖q − c‖² − ‖q‖², and two candidates' screens differ by at most 2e more
+    than their exact squared distances do. ``tol`` is 4 times that 2e. The
+    rest of the multiple covers the terms of second order in u, the float64
+    roundings (‖c‖²'s sum, and the per-row pass's sum of squares and square
+    root: under 3(d+2)d·2⁻⁵³ per candidate, far below e) and the float32
+    rounding of the threshold lo + tol (at most (2d + tol)·u). The true
+    nearest row therefore lies within tol of the screen's minimum: the
+    screened-in candidates are re-measured as the per-row pass measures
+    them, and the first minimum wins. A row with no second candidate that
+    close keeps the screen's argmin, which then is the exact one.
+
+    The queries go in blocks of ``max(1, _BLOCK_ENTRIES // m)`` rows, each
+    built in one float32 [−2q, 1] buffer and screened into one float32
+    block buffer, so the loop allocates nothing the size of a block.
     """
     m, d = C.shape
     # Candidates feature-major (C order) with ‖c‖² as a last row, so each
     # product streams along m.
-    CA = np.empty((d + 1, m))
+    CA = np.empty((d + 1, m), dtype=np.float32)
     CA[:d] = C.T
     CA[d] = np.square(C).sum(axis=1)
-    tol = 64 * (d + 2) * d * np.finfo(float).eps
+    e = (3 * d * (d + 1) + 5 * d) * 2.0**-24 + (4 * d + 1) * 2.0**-150
+    tol = 4 * 2 * e
     n = len(Q)
-    rows = max(1, _BLOCK_ENTRIES // m)
-    blocks = -(-n // rows)
-    pos = np.empty(n, dtype=np.intp)
-    if _WORKERS < 2 or blocks < 2:
-        _search(Q, C, CA, tol, skip_self, pos, 0, n, *_buffers(min(rows, n), d, m))
-        return pos
-    cut = rows * ((blocks + 1) // 2)
-    mine = _buffers(rows, d, m)
-    theirs = _buffers(min(rows, n - cut), d, m)
-    failed = []
-
-    def work():
-        try:
-            _search(Q, C, CA, tol, skip_self, pos, cut, n, *theirs)
-        except BaseException as exc:  # raised again in the calling thread
-            failed.append(exc)
-
-    worker = threading.Thread(target=work, name="relief-search")
-    worker.start()
-    try:
-        _search(Q, C, CA, tol, skip_self, pos, 0, cut, *mine)
-    finally:
-        worker.join()
-    if failed:
-        raise failed[0]
-    return pos
-
-
-def _buffers(rows, d, m):
-    """One worker's block buffers: the [−2q, 1] query rows, their 1s already
-    in place, and the rows×m screen."""
-    qa = np.empty((rows, d + 1))
+    rows = min(n, max(1, _BLOCK_ENTRIES // m))
+    qa = np.empty((rows, d + 1), dtype=np.float32)
     qa[:, d] = 1.0
-    return qa, np.empty((rows, m))
-
-
-def _search(Q, C, CA, tol, skip_self, pos, start, stop, qa, s):
-    """_nearest's answer for query rows start:stop, into pos[start:stop].
-
-    Blocks of len(s) rows, each built in qa (−2q is an exact scaling) and
-    screened into s, so the loop allocates nothing the size of a block.
-    """
-    m, d = C.shape
-    rows = len(s)
+    s = np.empty((rows, m), dtype=np.float32)
     r = np.arange(rows)
-    for a in range(start, stop, rows):
-        q = Q[a:min(a + rows, stop)]
-        k = len(q)  # shorter in a range's last block only
+    pos = np.empty(n, dtype=np.intp)
+    for a in range(0, n, rows):
+        q = Q[a:a + rows]
+        k = len(q)  # shorter in the last block only
         qk, sk, rk = qa[:k], s[:k], r[:k]
         np.multiply(q, -2.0, out=qk[:, :d])
         _screen(qk, CA, sk)
@@ -198,11 +153,12 @@ def _search(Q, C, CA, tol, skip_self, pos, start, stop, qa, s):
             cand = np.flatnonzero(sk[i] <= lo[i] + tol)
             j[i] = cand[np.sqrt(np.square(q[i] - C[cand]).sum(axis=1)).argmin()]
         pos[a:a + k] = j
+    return pos
 
 
 def _screen(qa, CA, out):
     """[−2q, 1]·[c, ‖c‖²] into out for every query row and candidate column:
-    ‖q − c‖² less ‖q‖²."""
+    ‖q − c‖² less ‖q‖², in float32."""
     np.matmul(qa, CA, out=out)
 
 

@@ -55,6 +55,13 @@ def _self_term(G: np.ndarray, alphas: np.ndarray) -> float:
     return float(alphas @ (G @ alphas))
 
 
+def check_cost(C: float, n: int) -> None:
+    """InfeasibleCost unless 1/n <= C <= 1 for n target vectors (a NaN C fails
+    too), with 1e-12 of slack at each end."""
+    if not 1.0 / n - 1e-12 <= C <= 1.0 + 1e-12:
+        raise InfeasibleCost(f"C={C} outside [1/n, 1] for n={n}")
+
+
 def train(X_target, kernel: KernelSpec, C: float = 1.0, max_passes: int | None = None,
           norm_stats: NormStats | None = None) -> SvddModel:
     """Fit the hypersphere to one class of training vectors.
@@ -70,8 +77,7 @@ def train(X_target, kernel: KernelSpec, C: float = 1.0, max_passes: int | None =
     if n == 0:
         raise EmptyTrainingSet("no target vectors")
     C = float(C)
-    if not 1.0 / n - 1e-12 <= C <= 1.0 + 1e-12:
-        raise InfeasibleCost(f"C={C} outside [1/n, 1] for n={n}")
+    check_cost(C, n)
 
     stats = norm_stats if norm_stats is not None else NormStats.identity(X.shape[1])
     Xn = normalize_apply(stats, X)

@@ -364,7 +364,7 @@ def test_every_traced_name_exists():
     (["run", "--csvm-cost", "0"], "csvm_cost must be positive"),
     (["run", "--csvm-cost", "-1", "--classifiers", "gnb"], "csvm_cost must be positive"),
     (["run", "--csvm-cost", "inf"], "csvm_cost must be positive"),
-    (["run", "--relief-k", "9"], "relief_k must lie in [1, 4]"),
+    (["run", "--relief-k", "9", "--cost", "0.25"], "relief_k must lie in [1, 4]"),
     (["features", "--relief-k", "9"], "relief_k must lie in [1, 4]"),
     (["features", "--relief-k", "0"], "relief_k must lie in [1, 4] for 4 features, got 0"),
     (["run", "--threshold", "1.5"], "threshold must lie in (0, 1), got 1.5"),
@@ -525,11 +525,46 @@ def test_run_no_external_minority(tmp_path):
     assert r.returncode == 4
 
 
+def test_split_without_minority_exits_four_before_relief(tmp_path, monkeypatch, capsys):
+    """Only well C has minority rows, so holding C out, the last split, leaves
+    none to train on: run exits 4 before Relief and before the splits that
+    could train write any model file."""
+    csv = tmp_path / "one_minority_well.csv"
+    rows = [f"{w},{i},0.{i}{k},0.{7 - i},{'0.1' if w == 'C' and i % 2 else '0.9'}"
+            for k, w in enumerate("ABC") for i in range(1, 7)]
+    csv.write_text("well,depth,f1,f2,sw\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    calls = count_calls(monkeypatch)
+    code = welldesc.cli.main(["run", "--input", str(csv), "--cost", "0.5", "--relief-k", "2",
+                              "--classifiers", "svdd,gnb", "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 4 and err == "error: no LOW rows outside well 'C'\n"
+    assert not calls and out == "" and not list(tmp_path.glob("model_*"))
+
+
+def test_infeasible_cost_exits_two_before_relief(tmp_path, monkeypatch, capsys):
+    """Each split of the walkthrough table trains on 45 minority rows, so
+    C = 0.01 lies below 1/n: refused before Relief, by svdd.train's rule,
+    when svdd runs."""
+    prepared = tmp_path / "prepared.csv"
+    for argv in (["synth"], ["prepare", "--input", str(tmp_path / "synthetic.csv")]):
+        assert welldesc.cli.main([*argv, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    calls = count_calls(monkeypatch)
+    code = welldesc.cli.main(["run", "--input", str(prepared), "--cost", "0.01",
+                              "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and err.startswith("error: C=0.01 outside [1/n, 1] for n=")
+    assert not calls and out == ""
+    # a cost no hypersphere uses is not judged
+    assert welldesc.cli.main(["run", "--input", str(prepared), "--cost", "0.01",
+                              "--classifiers", "gnb", "--out", str(tmp_path)]) == 0
+
+
 def test_run_all_features_constant(tmp_path):
     csv = tmp_path / "flat.csv"
     rows = [f"{w},{i},1.0,2.0,0.{i + 3}" for w in "AB" for i in range(1, 7)]
     csv.write_text("well,depth,f1,f2,sw\n" + "\n".join(rows) + "\n", encoding="utf-8")
-    r = cli("run", "--input", "flat.csv", "--cost", "0.25",
+    r = cli("run", "--input", "flat.csv", "--cost", "0.5",
             "--relief-k", "2", cwd=tmp_path)
     assert r.returncode == 2
     assert r.stderr.startswith("error: ") and "constant" in r.stderr
