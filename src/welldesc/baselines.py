@@ -199,6 +199,13 @@ class _KernelColumns:
         return out
 
 
+def check_svm_cost(C_svm: float) -> None:
+    """InvalidConfig unless the SVM's box constraint is positive and finite
+    (an infinite box would make the solver's lower bound inf - inf)."""
+    if not 0 < C_svm < np.inf:
+        raise InvalidConfig(f"C_svm must be positive and finite, got {C_svm}")
+
+
 def train_csvm(X, y, kernel: KernelSpec = KernelSpec(), C_svm: float = 1.0,
                max_passes: int | None = None, norm_stats: NormStats | None = None) -> SvmModel:
     """Soft-margin kernel SVM, its dual solved by the shared pairwise solver.
@@ -206,16 +213,16 @@ def train_csvm(X, y, kernel: KernelSpec = KernelSpec(), C_svm: float = 1.0,
     LOW maps to +1, HIGH to -1. Each working pair is the most violating index
     and the partner with the largest second-order gain (`welldesc.smo`); the
     two-variable step keeps sum(beta * y) = 0 and stays in the box [0, C].
-    max_passes caps the solver's passes; None leaves smo.solve's default.
-    The Gram is never built: the solver reads kernel columns from a cache
-    that computes each on first use and holds at most _CACHE_BYTES (100 MB)
-    of them, so training needs that budget plus O(n) vectors. Up to the
-    solver's first full refresh (pass 1024) the result is bit-identical to a
-    dense Gram's; after it only the summation order of the refresh differs.
+    C_svm is judged by check_svm_cost. max_passes caps the solver's passes;
+    None leaves smo.solve's default. The Gram is never built: the solver
+    reads kernel columns from a cache that computes each on first use and
+    holds at most _CACHE_BYTES (100 MB) of them, so training needs that
+    budget plus O(n) vectors. Up to the solver's first full refresh (pass
+    1024) the result is bit-identical to a dense Gram's; after it only the
+    summation order of the refresh differs.
     """
     Xn, y, stats = _two_class_input(X, y, norm_stats)
-    if not 0 < C_svm < np.inf:
-        raise InvalidConfig(f"C_svm must be positive and finite, got {C_svm}")
+    check_svm_cost(C_svm)
     n = Xn.shape[0]
     yy = np.where(y == LOW, 1.0, -1.0)
     C = float(C_svm)

@@ -3,6 +3,10 @@
 Settings resolve in three layers: built-in defaults, then a flat key=value
 config file (# starts a comment), then command-line flags. A flag's text and
 a config value are converted by one rule, _cast, from Settings' annotations.
+The CLI judges no value's range: each rule has one home in the library
+(KernelSpec, binarize_target, relief.check_k, svdd.check_cost,
+baselines.check_svm_cost, smo.check_passes), and run_blind_tests applies the
+run's rules once the splits are planned, before Relief.
 
 Exit codes: 0 ok, 2 bad configuration or input schema, an input or config
 file that is not UTF-8, a file the system cannot open or make (an OSError:
@@ -22,7 +26,8 @@ from typing import get_args
 
 import numpy as np
 
-from .baselines import predict_csvm, predict_gnb, predict_lda, train_csvm, train_gnb, train_lda
+from .baselines import (check_svm_cost, predict_csvm, predict_gnb, predict_lda, train_csvm,
+                        train_gnb, train_lda)
 from .dataio import (
     HIGH,
     LOW,
@@ -41,7 +46,6 @@ from .dataio import (
 from .errors import (
     EmptyResult,
     InvalidConfig,
-    InvalidK,
     MalformedFile,
     NoMinorityTrainingData,
     NonConvergence,
@@ -51,7 +55,8 @@ from .errors import (
 from .evaluation import RunRecord, compare_report, confusion, g_mean, sensitivity, specificity, timed
 from .kernels import KernelSpec
 from .persist import save_model
-from .relief import relief_weights, select_top
+from .relief import check_k, relief_weights, select_top
+from .smo import check_passes
 from .svdd import check_cost
 from .svdd import predict as svdd_predict
 from .svdd import train as svdd_train
@@ -138,10 +143,6 @@ def _resolve_settings(args: argparse.Namespace) -> Settings:
         flag = getattr(args, f.name, None)
         if flag is not None:
             setattr(s, f.name, _cast(f.name, flag))
-    if not 0 < s.csvm_cost < np.inf:
-        raise InvalidConfig(f"csvm_cost must be positive and finite, got {s.csvm_cost}")
-    if s.max_passes is not None and s.max_passes < 1:
-        raise InvalidConfig(f"max_passes must be at least 1, got {s.max_passes}")
     return s
 
 
@@ -204,11 +205,9 @@ def select_features(labeled, k: int):
     """Relief weights of every feature in `labeled`, and the indices of the k
     largest in rank order (select_top). `labeled` is left as it is.
 
-    k is checked before Relief runs.
+    k is judged (relief.check_k) before Relief runs.
     """
-    d = len(labeled.feature_names)
-    if not 1 <= k <= d:
-        raise InvalidK(f"relief_k must lie in [1, {d}] for {d} features, got {k}")
+    check_k(k, len(labeled.feature_names))
     weights = relief_weights(labeled.X, labeled.y)
     return weights, select_top(weights, k)
 
@@ -238,13 +237,17 @@ def run_blind_tests(labeled, kernel: KernelSpec, cost: float, classifiers=None,
     """Leave-one-well-out protocol shared by the CLI and the benchmark tests.
 
     Returns (records, any_nonconvergence). Before any work every name is
-    checked, every split planned (SplitPlan) and, if svdd runs, its cost
-    judged against each split's minority row count (svdd.check_cost). With
-    relief_k set, the splits then use only the top relief_k Relief features
-    (select_features), which are printed; `labeled` is left as it is. None
-    for classifiers or test_wells means all of them. The hypersphere trains
-    on the minority rows of the other wells (SplitPlan.train_rows); the
-    two-class baselines train on all of their rows (SplitPlan.fit_rows).
+    checked and every split planned (SplitPlan). Then each setting is judged
+    by the rule its trainer applies: csvm_cost by baselines.check_svm_cost
+    and max_passes by smo.check_passes, whichever classifiers run, and, if
+    svdd runs, its cost against each split's minority row count
+    (svdd.check_cost, whose message names the held-out well). With relief_k
+    set, the splits then use only the top relief_k Relief features
+    (select_features, which judges relief_k first), which are printed;
+    `labeled` is left as it is. None for classifiers or test_wells means
+    all of them. The hypersphere trains on the minority rows of the other
+    wells (SplitPlan.train_rows); the two-class baselines train on all of
+    their rows (SplitPlan.fit_rows).
     Feature normalization is fitted per split on fit_rows and shared by
     every classifier.
 
@@ -277,9 +280,12 @@ def run_blind_tests(labeled, kernel: KernelSpec, cost: float, classifiers=None,
         if name not in table:
             raise InvalidConfig(f"unknown classifier {name!r}; known: {', '.join(table)}")
     plans = [split_leave_one_well_out(labeled, well) for well in test_wells]
+    check_svm_cost(csvm_cost)
+    check_passes(max_passes)
     if "svdd" in classifiers:
         for plan in plans:
-            check_cost(cost, plan.train_rows.size)
+            check_cost(cost, plan.train_rows.size,
+                       f", the minority rows outside held-out well {plan.test_well!r}")
     X = labeled.X
     if relief_k is not None:
         _, top = select_features(labeled, relief_k)
@@ -371,7 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width")
     p.add_argument("--degree")
     p.add_argument("--offset")
-    p.add_argument("--cost", help="hypersphere cost C in (0, 1]")
+    p.add_argument("--cost", help="hypersphere cost C in [1/n, 1], n the minority training "
+                   "rows of each split")
     p.add_argument("--csvm-cost", help="baseline SVM box constraint")
     p.add_argument("--relief-k")
     p.add_argument("--classifiers", help="comma list from: svdd,svm,gnb,lda")

@@ -162,10 +162,14 @@ def _screen(qa, CA, out):
     np.matmul(qa, CA, out=out)
 
 
+def check_k(k: int, d: int) -> None:
+    """InvalidK unless 1 <= k <= d, for k of d features kept."""
+    if not 1 <= k <= d:
+        raise InvalidK(f"relief_k must lie in [1, {d}] for {d} features, got {k}")
+
+
 def select_top(weights, k: int) -> list:
     """Indices of the k largest weights, descending; ties keep the lower index."""
-    d = len(weights)
-    if not 1 <= k <= d:
-        raise InvalidK(f"k must lie in [1, {d}], got {k}")
+    check_k(k, len(weights))
     order = np.argsort(-weights, kind="stable")
     return [int(i) for i in order[:k]]

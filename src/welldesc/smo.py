@@ -31,7 +31,7 @@ bit.
 
 import numpy as np
 
-from .errors import NonConvergence, NonFiniteInput
+from .errors import InvalidConfig, NonConvergence, NonFiniteInput
 
 TOL = 1e-6  # the stopping gap; free() reads a multiplier within TOL of a bound as on it
 
@@ -39,6 +39,12 @@ TOL = 1e-6  # the stopping gap; free() reads a multiplier within TOL of a bound 
 def free(a: np.ndarray, C: float) -> np.ndarray:
     """Mask of the multipliers off both bounds of [0, C] by more than TOL."""
     return (a > TOL) & (a < C - TOL)
+
+
+def check_passes(max_passes: int | None) -> None:
+    """InvalidConfig unless max_passes is None (the default cap) or at least 1."""
+    if max_passes is not None and max_passes < 1:
+        raise InvalidConfig(f"max_passes must be at least 1, got {max_passes}")
 
 
 def curvature(diag: np.ndarray, i: int, Ki: np.ndarray, out: np.ndarray,
@@ -92,11 +98,13 @@ def solve(cols, y, p, C: float, a, max_passes: int | None = None):
     columns i and j and i's curvatures only, and its scalar step runs on
     Python floats. Ties pick the lowest index, so the result is
     deterministic. Stops when max(v over up) - min(v over low) <= TOL and
-    raises NonConvergence after max_passes passes (None: 10 n^2). A kernel
+    raises NonConvergence after max_passes passes (None: 10 n^2; a cap
+    below 1 is refused first, by check_passes). A kernel
     diagonal holding an inf or a NaN raises NonFiniteInput first; for a
     positive semidefinite K, |K_ij| <= sqrt(K_ii K_jj), so a finite diagonal
     bounds every entry.
     """
+    check_passes(max_passes)
     kd = cols.diag
     if not np.isfinite(kd).all():
         raise NonFiniteInput("kernel values on the training rows are not finite: "

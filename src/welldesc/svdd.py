@@ -55,11 +55,12 @@ def _self_term(G: np.ndarray, alphas: np.ndarray) -> float:
     return float(alphas @ (G @ alphas))
 
 
-def check_cost(C: float, n: int) -> None:
+def check_cost(C: float, n: int, where: str = "") -> None:
     """InfeasibleCost unless 1/n <= C <= 1 for n target vectors (a NaN C fails
-    too), with 1e-12 of slack at each end."""
+    too), with 1e-12 of slack at each end. `where`, if given, is appended to
+    the message to say which vectors n counts."""
     if not 1.0 / n - 1e-12 <= C <= 1.0 + 1e-12:
-        raise InfeasibleCost(f"C={C} outside [1/n, 1] for n={n}")
+        raise InfeasibleCost(f"C={C} outside [1/n, 1] for n={n}{where}")
 
 
 def train(X_target, kernel: KernelSpec, C: float = 1.0, max_passes: int | None = None,

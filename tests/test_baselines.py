@@ -340,6 +340,14 @@ def test_svm_nonconvergence_with_tiny_budget():
         train_csvm(X, y, WIDE, 1.0, max_passes=1)
 
 
+@pytest.mark.parametrize("max_passes", [0, -3])
+def test_svm_pass_cap_below_one_is_refused(max_passes):
+    X = np.random.default_rng(48).normal(size=(20, 2))
+    y = np.resize([LOW, HIGH], 20)
+    with pytest.raises(InvalidConfig, match=f"^max_passes must be at least 1, got {max_passes}$"):
+        train_csvm(X, y, WIDE, 1.0, max_passes=max_passes)
+
+
 def test_svm_rejects_labels_of_another_length():
     X = np.arange(10.0).reshape(5, 2)
     with pytest.raises(DimensionMismatch, match="does not match"):

@@ -360,10 +360,10 @@ def test_every_traced_name_exists():
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["run", "--csvm-cost", "nan"], "csvm_cost must be positive"),
-    (["run", "--csvm-cost", "0"], "csvm_cost must be positive"),
-    (["run", "--csvm-cost", "-1", "--classifiers", "gnb"], "csvm_cost must be positive"),
-    (["run", "--csvm-cost", "inf"], "csvm_cost must be positive"),
+    (["run", "--csvm-cost", "nan"], "C_svm must be positive and finite"),
+    (["run", "--csvm-cost", "0"], "C_svm must be positive and finite"),
+    (["run", "--csvm-cost", "-1", "--classifiers", "gnb"], "C_svm must be positive and finite"),
+    (["run", "--csvm-cost", "inf"], "C_svm must be positive and finite"),
     (["run", "--relief-k", "9", "--cost", "0.25"], "relief_k must lie in [1, 4]"),
     (["features", "--relief-k", "9"], "relief_k must lie in [1, 4]"),
     (["features", "--relief-k", "0"], "relief_k must lie in [1, 4] for 4 features, got 0"),
@@ -399,7 +399,8 @@ def test_bad_setting_fails_before_relief(tmp_path, monkeypatch, capsys, argv, me
     ("width", "abc", "error: bad value 'abc' for width\n"),
     ("degree", "2.5", "error: bad value '2.5' for degree\n"),
     ("max_passes", "none", ""),
-], ids=["kernel", "width", "degree", "max-passes"])
+    ("max_passes", "0", "error: max_passes must be at least 1, got 0\n"),
+], ids=["kernel", "width", "degree", "max-passes", "max-passes-zero"])
 def test_flag_and_config_line_are_read_alike(tmp_path, monkeypatch, capsys, key, value, err):
     """A flag and a config line go through one converter and one judge: the
     same exit code, the same stderr and, where the settings resolve, the same
@@ -544,7 +545,7 @@ def test_split_without_minority_exits_four_before_relief(tmp_path, monkeypatch, 
 def test_infeasible_cost_exits_two_before_relief(tmp_path, monkeypatch, capsys):
     """Each split of the walkthrough table trains on 45 minority rows, so
     C = 0.01 lies below 1/n: refused before Relief, by svdd.train's rule,
-    when svdd runs."""
+    when svdd runs, with the first held-out well named."""
     prepared = tmp_path / "prepared.csv"
     for argv in (["synth"], ["prepare", "--input", str(tmp_path / "synthetic.csv")]):
         assert welldesc.cli.main([*argv, "--out", str(tmp_path)]) == 0
@@ -554,6 +555,7 @@ def test_infeasible_cost_exits_two_before_relief(tmp_path, monkeypatch, capsys):
                               "--out", str(tmp_path)])
     out, err = capsys.readouterr()
     assert code == 2 and err.startswith("error: C=0.01 outside [1/n, 1] for n=")
+    assert err == "error: C=0.01 outside [1/n, 1] for n=45, the minority rows outside held-out well 'A'\n"
     assert not calls and out == ""
     # a cost no hypersphere uses is not judged
     assert welldesc.cli.main(["run", "--input", str(prepared), "--cost", "0.01",

@@ -7,10 +7,16 @@ both of load_table's paths read it.
 
 Every mutated model file, in each of the five formats load_model reads, must
 either raise MalformedFile or load and predict without a warning.
+
+Every draw of `run` settings, given as flags or config lines and holding
+zeros, subnormals, overflowing numbers, NaNs, infinities, blanks, text,
+repeated names and unknown names, must end in a documented exit code with
+one `error:` line or a report whose model files load again.
 """
 
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -215,3 +221,83 @@ def test_mutated_model_files_fail_cleanly_or_predict_silently(tmp_path):
             outcomes[kind, outcome] = outcomes.get((kind, outcome), 0) + 1
     # every format yields both files that load and files that are refused
     assert min(outcomes.get((kind, o), 0) for kind in seeds for o in ("predicted", "malformed")) >= 40, outcomes
+
+
+SETTINGS_SEED = 13  # its draws reach exit codes 0, 2, 4 and 5 and the kept warning
+SETTINGS_DRAWS = 300
+# Values typed into a flag or a config line: both zeros, a subnormal, a
+# number whose square overflows, the largest doubles, infinities, a NaN, a
+# literal that overflows to inf, a blank, text, and two Python literals that
+# float() or int() may or may not take.
+_VALUES = ["0", "-0", "5e-324", "1e154", "1e308", "inf", "-inf", "nan", "1e400", "", "abc",
+           "0x10", "1_0"]
+_KEYS = ["seed", "threshold", "width", "degree", "offset", "cost", "csvm_cost", "relief_k",
+         "max_passes"]
+_FAMILIES = ["gaussian", "polynomial", "erbf"]
+# The one warning a run may give: a polynomial kernel whose powers overflow,
+# which its callers then refuse as NonFiniteInput (welldesc.kernels._errstate).
+_KEPT_WARNING = ("kernels.py", "overflow encountered in power")
+
+
+def _settings_draw(rng) -> list:
+    """(key, value) pairs in order: a kernel family, one or two keys set
+    from _VALUES, then maybe a repeated and an unknown name."""
+    pairs = [("kernel", _FAMILIES[int(rng.integers(3))])]
+    for key in rng.choice(_KEYS, size=int(rng.integers(1, 3)), replace=False):
+        pairs.append((str(key), _VALUES[int(rng.integers(len(_VALUES)))]))
+    if rng.integers(6) == 0:
+        pairs.append((pairs[int(rng.integers(len(pairs)))][0],
+                      _VALUES[int(rng.integers(len(_VALUES)))]))
+    if rng.integers(10) == 0:
+        pairs.append(("bogus", _VALUES[int(rng.integers(len(_VALUES)))]))
+    return pairs
+
+
+def test_fuzzed_run_settings_exit_with_documented_codes(tmp_path, capsys):
+    """Each draw runs all four classifiers on a 3-well x 120-row table. The
+    config file starts with max_passes=5000, which a draw's own lines and
+    flags override: a homogeneous polynomial SVM otherwise runs to its
+    default cap of 10 n^2 passes, seconds per draw."""
+    table = tmp_path / "t.csv"
+    write_table(gen_synthetic(SynthConfig(n_wells=3, rows_per_well=120, skew=0.8,
+                                          n_features=6, seed=3)), table)
+    cfg = tmp_path / "run.cfg"
+    rng = np.random.default_rng(SETTINGS_SEED)
+    codes, warned = {}, 0
+    for k in range(SETTINGS_DRAWS):
+        out = tmp_path / f"out{k}"
+        flags, lines = [], ["max_passes=5000"]
+        for key, value in _settings_draw(rng):
+            if rng.integers(2):
+                flags.append(f"--{key.replace('_', '-')}={value}")
+            else:
+                lines.append(f"{key}={value}")
+        cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argv = ["run", "--input", str(table), "--out", str(out), "--config", str(cfg), *flags]
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            try:
+                code = welldesc.cli.main(argv)
+            except SystemExit as exc:  # argparse refuses an unknown flag
+                code = exc.code
+            except Exception as exc:
+                pytest.fail(f"draw {k}, {flags}, {lines}: {exc!r}")
+            models = sorted(out.glob("model_*.txt"))
+            if code in (0, 5):
+                for path in models:
+                    load_model(path)
+        err = capsys.readouterr().err
+        case = (k, flags, lines, code, err)
+        assert code in EXIT_CODES, case
+        assert "Traceback" not in err, case
+        errors = sum("error:" in line for line in err.splitlines())
+        assert errors == (0 if code in (0, 5) else 1), case
+        assert code != 0 or len(models) == 12, case
+        for w in seen:
+            assert (Path(w.filename).name, str(w.message)) == _KEPT_WARNING, (case, w)
+        codes[code] = codes.get(code, 0) + 1
+        warned += bool(seen)
+    # the draws reach runs that finish, refused settings, a split left with
+    # no minority rows, a trainer that gives up, and the kept warning
+    assert min(codes.get(c, 0) for c in (0, 2, 4, 5)) >= 1 and codes[0] >= 20, codes
+    assert warned >= 1

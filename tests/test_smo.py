@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from welldesc import baselines, smo
-from welldesc.errors import NonConvergence
+from welldesc.errors import InvalidConfig, NonConvergence
 from welldesc.kernels import KernelSpec, gram
 
 from oracle import solve_pairwise
@@ -119,6 +119,14 @@ def test_the_draws_reach_every_branch():
         on_zero += bool(((alphas == 0.0) & (a > 0.0)).any())
         on_cap += bool(((alphas == C) & (a < C)).any())
     assert refreshed >= 1 and capped == 2 and on_zero >= 1 and on_cap >= 1
+
+
+@pytest.mark.parametrize("max_passes", [0, -3])
+def test_pass_cap_below_one_is_refused(max_passes):
+    """A cap that allows no pass is a bad setting, not a solve that gave up."""
+    make_cols, y, p, C, a, _ = _DUALS["svdd-cap"]
+    with pytest.raises(InvalidConfig, match=f"^max_passes must be at least 1, got {max_passes}$"):
+        smo.solve(make_cols(), y, p, C, a.copy(), max_passes)
 
 
 def _huge_dual(K, y, p, C, a, max_passes=None):

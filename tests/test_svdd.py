@@ -201,6 +201,13 @@ def test_nonconvergence_reports_violation():
     assert err.value.kkt_violation > 0.0
 
 
+@pytest.mark.parametrize("max_passes", [0, -3])
+def test_pass_cap_below_one_is_refused(max_passes):
+    X = np.random.default_rng(8).normal(size=(20, 3))
+    with pytest.raises(InvalidConfig, match=f"^max_passes must be at least 1, got {max_passes}$"):
+        train(X, KernelSpec(), 0.5, max_passes=max_passes)
+
+
 # case -> (kernel arguments, NaN in one training row, the warning the kernel
 # raises, the error and its message). (x.x + 1e300)^3 overflows to inf;
 # KernelSpec itself refuses an inf offset, before any training.
