@@ -455,12 +455,23 @@ def drop_invalid(t: WellTable) -> WellTable:
     return _subset(t, np.flatnonzero(keep))
 
 
+def _median(v: np.ndarray) -> float:
+    """np.median of a non-empty 1-D float array, bit for bit, without the
+    numpy.ma import np.median pays on first use: np.mean of the middle one or
+    two sorted values, which also gives a zero median as +0.0."""
+    s = np.sort(v)
+    h = s.size // 2
+    return float(np.mean(s[h - 1 + s.size % 2:h + 1]))
+
+
 def resample_uniform(t: WellTable, spacing: float | None = AUTO) -> WellTable:
     """Re-grid each well onto uniformly spaced depths by linear interpolation.
 
-    spacing=AUTO uses the median consecutive depth step of each well. The grid
-    runs from the first to the last observed depth; nothing is extrapolated.
-    A well whose grid would exceed MAX_GRID_ROWS rows raises InvalidConfig.
+    spacing=AUTO uses the median consecutive depth step of each well; a
+    median step that is not positive (repeated depths) raises InvalidConfig.
+    The grid runs from the first to the last observed depth; nothing is
+    extrapolated. A well whose grid would exceed MAX_GRID_ROWS rows raises
+    InvalidConfig.
     Run drop_invalid first: missing values would bleed into their neighbors.
 
     Every well is checked before any output is allocated; the result holds
@@ -478,7 +489,10 @@ def resample_uniform(t: WellTable, spacing: float | None = AUTO) -> WellTable:
         depths = t.depth[idx]
         if not np.isfinite(depths).all():
             raise NonFiniteInput(f"well {w!r} has a non-finite depth")
-        step = float(np.median(np.diff(depths))) if spacing is AUTO else float(spacing)
+        step = _median(np.diff(depths)) if spacing is AUTO else float(spacing)
+        if not step > 0:
+            raise InvalidConfig(f"well {w!r}: median depth step {step:g} is not positive; "
+                                f"its depths repeat or fall")
         steps = (depths[-1] - depths[0]) / step + 1e-9
         if not steps < MAX_GRID_ROWS:
             raise InvalidConfig(

@@ -35,7 +35,7 @@ def relief_weights(X, y) -> np.ndarray:
     Nearest hit and miss are found by Euclidean distance on the scaled
     features; ties go to the lowest row index. A constant feature scores
     exactly 0. A row whose class has no second member contributes only its
-    miss term. A NaN or infinite cell raises NonFiniteInput.
+    miss term. A NaN or infinite cell, or a NaN label, raises NonFiniteInput.
 
     The search runs per class, on the calling thread, in blocks of
     ``max(1, 131072 // m)`` query rows against m candidates, so each float32
@@ -53,7 +53,9 @@ def relief_weights(X, y) -> np.ndarray:
     if not np.isfinite(X).all():
         raise NonFiniteInput("X has NaN or infinite cells; relief needs finite features")
     n, d = X.shape
-    classes = np.unique(y)
+    classes = _classes(y)
+    if (classes != classes).any():
+        raise NonFiniteInput("y has a NaN label; relief needs labels equal to themselves")
     if classes.size < 2:
         raise SingleClassInput("relief needs both classes present")
 
@@ -83,6 +85,16 @@ def relief_weights(X, y) -> np.ndarray:
         np.abs(np.subtract(S[near], S, out=t), out=t)
     np.negative(terms[1::2], out=terms[1::2])
     return np.add.accumulate(terms, axis=0, out=terms)[-1] / n
+
+
+def _classes(y):
+    """The sorted distinct labels of 1-D y, as np.unique(y) gives them, found
+    as its sort path finds them, without the numpy.ma import np.unique pays on
+    first use. A NaN label is kept, once per NaN."""
+    s = np.sort(y)
+    keep = np.ones(s.shape, dtype=bool)
+    keep[1:] = s[1:] != s[:-1]
+    return s[keep]
 
 
 def _nearest(Q, C, skip_self=False):

@@ -638,6 +638,42 @@ def test_directory_at_an_output_path_exits_two(tmp_path):
     assert "Traceback" not in r.stderr
 
 
+_WITHOUT_NUMPY_MA = """
+import contextlib, io, sys
+sys.modules["numpy.ma"] = None  # any import of it now raises, naming its caller
+from pathlib import Path
+import welldesc
+from welldesc import cli
+
+out, synth = Path(sys.argv[1]), sys.argv[2:]
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["synth", *synth], ["prepare", "--input", str(out / "synthetic.csv")],
+                 ["features", "--input", str(out / "prepared.csv"), "--relief-k", "2"],
+                 ["run", "--input", str(out / "prepared.csv"), "--cost", "0.25",
+                  "--relief-k", "2", "--classifiers", "svdd,svm,gnb,lda"]):
+        assert cli.main([*argv, "--out", str(out)]) == 0, argv
+data = welldesc.binarize_target(welldesc.resample_uniform(welldesc.drop_invalid(
+    welldesc.load_table(out / "synthetic.csv"))))
+X = data.X[:, [data.feature_names.index(f)
+               for f in (out / "selected_features.txt").read_text().split()]]
+for clf, predict in [("svdd", welldesc.predict), ("svm", welldesc.predict_csvm),
+                     ("gnb", welldesc.predict_gnb), ("lda", welldesc.predict_lda)]:
+    model = welldesc.load_model(out / f"model_{clf}_A.txt")
+    welldesc.g_mean(welldesc.confusion(data.y, predict(model, X)))
+assert sys.modules["numpy.ma"] is None
+"""
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    """numpy.ma costs a process about 2 MB and 10 ms to import, and np.unique
+    and np.median import it on first use. Neither synth, prepare, features and
+    run nor the apply path (load, clean, resample, label, load the models,
+    predict, score) may import it."""
+    r = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY_MA, str(tmp_path), *SMALL_SYNTH],
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+
+
 # ------------------------------------------------------------------- config
 
 def test_config_file_supplies_settings(tmp_path):

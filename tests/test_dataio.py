@@ -880,6 +880,46 @@ def test_resample_rejects_a_tiny_auto_step():
         resample_uniform(t)
 
 
+def test_resample_rejects_repeated_depths_without_a_warning():
+    # steps 0, 0, 1 -> median 0: no grid can be laid, and no divide may warn
+    t = _one_well_table([1.0, 1.0, 1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [0.1, 0.2, 0.3, 0.4])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidConfig, match="well 'W1': median depth step 0 is not "
+                                                "positive; its depths repeat"):
+            resample_uniform(t)
+
+
+def _median_draw(rng, kind, n):
+    """n values with magnitudes from 1e-300 to 1e300 and either sign: all
+    distinct-ish, drawn from a few repeated ones, or with +0.0 and -0.0 mixed in."""
+    v = rng.choice([-1.0, 1.0], size=n) * 10.0 ** rng.uniform(-300, 300, size=n)
+    if kind == "repeated":
+        v = rng.choice(v[:rng.integers(1, min(n, 4) + 1)], size=n)
+    elif kind != "distinct":
+        share = {"some-zeros": 0.2, "mostly-zeros": 0.8}[kind]
+        zeros = rng.uniform(size=n) < share
+        v[zeros] = rng.choice([0.0, -0.0], size=zeros.sum())
+    return v
+
+
+@pytest.mark.parametrize("parity", [0, 1], ids=["even", "odd"])
+@pytest.mark.parametrize("kind", ["distinct", "repeated", "some-zeros", "mostly-zeros"])
+def test_median_is_np_median(kind, parity):
+    """resample_uniform's step, bit for bit and sign bit for sign bit."""
+    rng = np.random.default_rng([53, parity, len(kind)])
+    zero_medians = 0
+    for half in [0, 1, 2, *rng.integers(3, 300, size=100)]:
+        n = 2 * half + parity
+        if n == 0:
+            continue
+        v = _median_draw(rng, kind, n)
+        want, got = np.float64(np.median(v)), np.float64(dataio._median(v))
+        assert got.tobytes() == want.tobytes() and np.signbit(got) == np.signbit(want), v
+        zero_medians += want == 0
+    assert zero_medians > 10 or "zeros" not in kind
+
+
 @pytest.mark.parametrize("bad", [np.inf, -np.inf])
 def test_resample_rejects_non_finite_depth(bad):
     t = _one_well_table([0.0, 1.0, bad], [1.0, 2.0, 3.0], [0.2, 0.8, 0.9])

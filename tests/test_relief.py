@@ -266,8 +266,26 @@ _BIT_IDENTITY_CASES = pytest.mark.parametrize("build", [
 
 @_BIT_IDENTITY_CASES
 def test_weights_bit_identical_to_per_row_pass(build):
+    """The same bytes whatever type the two labels have."""
     X, y = build()
-    assert np.array_equal(relief_weights(X, y), reference_relief(X, y))
+    want = reference_relief(X, y).tobytes()
+    for labels in (y, y == HIGH, y.astype(float), np.where(y == HIGH, "high", "low")):
+        assert relief_weights(X, labels).tobytes() == want
+
+
+@pytest.mark.parametrize("draw", [
+    lambda rng, n: rng.integers(-3, 4, size=n),
+    lambda rng, n: rng.uniform(size=n) < 0.3,
+    lambda rng, n: rng.choice([0.0, -0.0, 1.5, -2.0, 1e300, 5e-324], size=n),
+    lambda rng, n: rng.choice(["low", "high", "", "HIGH", "b\u00e9"], size=n),
+], ids=["int", "bool", "float", "str"])
+def test_class_list_is_np_unique(draw):
+    rng = np.random.default_rng(51)
+    for n in [1, 2, 3, *rng.integers(4, 600, size=60)]:
+        y = draw(rng, n)
+        want = np.unique(y)
+        got = relief._classes(y)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), y
 
 
 def test_weights_bit_identical_with_small_uneven_blocks(monkeypatch):
@@ -363,8 +381,8 @@ def test_weights_survive_screen_error_within_half_its_bound(monkeypatch, build):
 def test_temporary_memory_stays_bounded():
     """A 6000-row n×n distance matrix would take 288 MB; the blockwise search
     keeps a few n×d copies (about 0.3 MB each) plus one 0.5 MB float32 block
-    buffer. The peak measured 1.4 MB with numpy 2.4, or 2.6 MB when the call
-    is a process's first np.unique, which imports numpy.ma."""
+    buffer. The peak measured 1.4 MB with numpy 2.4, the same for a
+    process's first call and its second."""
     rng = np.random.default_rng(47)
     X = rng.normal(size=(6000, 6))
     y = _labels(rng, 6000, 0.05)
@@ -383,6 +401,12 @@ def test_non_finite_cell_rejected(bad):
     y = np.array([LOW, LOW, HIGH, HIGH])
     with pytest.raises(NonFiniteInput):
         relief_weights(X, y)
+
+
+def test_nan_label_rejected():
+    X = np.array([[0.0, 1.0], [0.1, 0.9], [0.9, 0.1], [1.0, 0.0]])
+    with pytest.raises(NonFiniteInput, match="NaN label"):
+        relief_weights(X, np.array([LOW, LOW, HIGH, np.nan]))
 
 
 @_BIT_IDENTITY_CASES
