@@ -30,7 +30,6 @@ from .baselines import (check_svm_cost, predict_csvm, predict_gnb, predict_lda, 
                         train_gnb, train_lda)
 from .dataio import (
     HIGH,
-    LOW,
     SynthConfig,
     binarize_target,
     drop_invalid,
@@ -115,7 +114,7 @@ def read_config_file(path) -> dict:
     """
     entries = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise MalformedFile(f"{path}: not UTF-8 text ({exc.reason})") from exc
@@ -268,7 +267,7 @@ def run_blind_tests(labeled, kernel: KernelSpec, cost: float, classifiers=None,
         "lda": (False, train_lda, predict_lda),
     }
     classifiers = list(table) if classifiers is None else classifiers
-    test_wells = list(labeled.wells) if test_wells is None else test_wells
+    test_wells = labeled.wells if test_wells is None else test_wells
     if len(labeled.wells) < 2:
         raise InvalidConfig("need at least two wells for leave-one-well-out runs")
     for kind, names in (("classifier", classifiers), ("test well", test_wells)):
@@ -342,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="key=value settings file")
     common.add_argument("--out", metavar="DIR", help="output directory (default .)")
-    common.add_argument("--seed", metavar="U64", help="random seed")
 
     parser = argparse.ArgumentParser(
         prog="welldesc",
@@ -350,6 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", parents=[common], help="generate a synthetic multi-well table")
+    p.add_argument("--seed", metavar="U64", help="random seed")
     p.add_argument("--wells", help="number of wells")
     p.add_argument("--rows", help="rows per well")
     p.add_argument("--skew", help="majority fraction in (0, 1)")

@@ -35,7 +35,7 @@ import io
 import math
 import os
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 
@@ -61,8 +61,9 @@ LOW = 0
 HIGH = 1
 
 AUTO = None  # resample spacing: take the median observed step per well
-# resample_uniform refuses a grid of more rows than this in one well, before
-# it allocates the grid: a tiny step would otherwise ask for billions of rows
+# the most grid rows resample_uniform gives one well, bins histogram makes and
+# cells gen_synthetic fills, each refused before it allocates: a tiny step or
+# a huge count would otherwise escape as a MemoryError
 MAX_GRID_ROWS = 10_000_000
 
 # Smallest scaling std normalize_fit keeps: below it the variance is subnormal
@@ -75,17 +76,26 @@ STD_FLOOR = math.sqrt(np.finfo(float).tiny)
 _CHUNK_ROWS = 256
 
 
+def _wells(table) -> list:
+    """The distinct well ids, in first-appearance order: the first id of each
+    run of equal ids, with repeats then removed by dict.fromkeys."""
+    ids = table.well_ids
+    heads = ids[:1].tolist() + ids[1:][ids[1:] != ids[:-1]].tolist()
+    return list(dict.fromkeys(heads))
+
+
 @dataclass
 class WellTable:
     """Columnar well-log table; NaN marks a missing cell."""
 
-    wells: list            # unique well ids, first-appearance order
     well_ids: np.ndarray   # (n,) per-row well id
     depth: np.ndarray      # (n,)
     features: np.ndarray   # (n, d)
     target: np.ndarray     # (n,)
     feature_names: list
     target_name: str
+
+    wells = property(_wells)
 
     @property
     def n_rows(self) -> int:
@@ -103,7 +113,8 @@ class LabeledDataset:
     y: np.ndarray          # LOW / HIGH per row
     well_ids: np.ndarray
     feature_names: list
-    wells: list
+
+    wells = property(_wells)
 
 
 @dataclass
@@ -280,7 +291,6 @@ def _sorted_table(path, wells: list, rank: np.ndarray, values: np.ndarray,
             raise MalformedFile(f"{path}: well {wells[rank[dup + 1]]!r} repeats depth {float(depth[dup + 1])}")
         features, target = values[order, 1:-1], values[order, -1]
     return WellTable(
-        wells=wells,
         well_ids=np.array(wells)[rank],
         depth=depth,
         features=features,
@@ -426,33 +436,20 @@ def write_table(t: WellTable, path) -> None:
             fh.write("".join(lines))
 
 
-def _subset(t: WellTable, idx: np.ndarray) -> WellTable:
-    wid = t.well_ids[idx]
-    return WellTable(
-        wells=[w for w in t.wells if (wid == w).any()],
-        well_ids=wid,
-        depth=t.depth[idx],
-        features=t.features[idx],
-        target=t.target[idx],
-        feature_names=list(t.feature_names),
-        target_name=t.target_name,
-    )
-
-
 def drop_invalid(t: WellTable) -> WellTable:
     """Remove every row with a missing feature or a missing target.
 
-    When every row is complete the result shares t's arrays and takes its
-    well list as it stands; otherwise it holds new arrays of the kept rows.
+    When every row is complete the result shares t's arrays; otherwise it
+    holds new arrays of the kept rows.
     """
     keep = np.isfinite(t.features).all(axis=1) & np.isfinite(t.target)
     if not keep.any():
         raise EmptyResult("no rows with complete values")
     if keep.all():
-        return WellTable(wells=list(t.wells), well_ids=t.well_ids, depth=t.depth,
-                         features=t.features, target=t.target,
-                         feature_names=list(t.feature_names), target_name=t.target_name)
-    return _subset(t, np.flatnonzero(keep))
+        return WellTable(t.well_ids, t.depth, t.features, t.target, list(t.feature_names), t.target_name)
+    idx = np.flatnonzero(keep)
+    return WellTable(t.well_ids[idx], t.depth[idx], t.features[idx], t.target[idx],
+                     list(t.feature_names), t.target_name)
 
 
 def _median(v: np.ndarray) -> float:
@@ -502,7 +499,6 @@ def resample_uniform(t: WellTable, spacing: float | None = AUTO) -> WellTable:
 
     n = sum(grid.size for *_, grid in grids)
     out = WellTable(
-        wells=list(t.wells),
         well_ids=np.empty(n, dtype=t.well_ids.dtype),
         depth=np.empty(n),
         features=np.empty((n, t.features.shape[1])),
@@ -540,7 +536,6 @@ def binarize_target(t: WellTable, threshold: float = 0.7) -> LabeledDataset:
         y=y.astype(int),
         well_ids=t.well_ids,
         feature_names=list(t.feature_names),
-        wells=list(t.wells),
     )
 
 
@@ -610,15 +605,17 @@ def histogram(values, bins: int):
     """Equal-width histogram over [min, max].
 
     Bins are half-open except the last, which also takes the maximum value.
-    Returns (edges, counts) with len(edges) == bins + 1. A NaN or infinite
-    value raises NonFiniteInput, and so does a range max - min that
-    overflows a float.
+    Returns (edges, counts) with len(edges) == bins + 1. A bin count outside
+    [1, MAX_GRID_ROWS] raises InvalidConfig; a NaN or infinite value, or a
+    range max - min that overflows a float, NonFiniteInput.
     """
     v = np.asarray(values, dtype=float).ravel()
     if v.size == 0:
         raise EmptyInput("histogram of nothing")
     if bins < 1:
         raise InvalidConfig("need at least one bin")
+    if bins > MAX_GRID_ROWS:
+        raise InvalidConfig(f"{bins:,} bins is over the cap of {MAX_GRID_ROWS:,}")
     if not np.isfinite(v).all():
         raise NonFiniteInput("histogram values must be finite")
     vmin, vmax = float(v.min()), float(v.max())
@@ -660,7 +657,8 @@ def _well_names(k: int) -> list:
 
 
 def gen_synthetic(cfg: SynthConfig) -> WellTable:
-    """Deterministic imbalanced multi-well table for benchmarks and tests."""
+    """Deterministic imbalanced multi-well table for benchmarks and tests, of
+    at most MAX_GRID_ROWS cells (wells x rows x (features + 2))."""
     if cfg.n_wells < 1:
         raise InvalidConfig("need at least one well")
     if cfg.rows_per_well < 2:
@@ -671,6 +669,9 @@ def gen_synthetic(cfg: SynthConfig) -> WellTable:
         raise InvalidConfig("need at least two features")
     if cfg.seed < 0:
         raise InvalidConfig(f"seed must be non-negative, got {cfg.seed}")
+    if cfg.n_wells * cfg.rows_per_well * (cfg.n_features + 2) > MAX_GRID_ROWS:
+        raise InvalidConfig(f"{cfg.n_wells} wells x {cfg.rows_per_well} rows x {cfg.n_features + 2} "
+                            f"columns is over the cap of {MAX_GRID_ROWS:,} cells")
 
     rng = np.random.default_rng(cfg.seed)
     d = cfg.n_features
@@ -703,7 +704,6 @@ def gen_synthetic(cfg: SynthConfig) -> WellTable:
         targets.append(t)
 
     return WellTable(
-        wells=names,
         well_ids=np.concatenate(ids),
         depth=np.concatenate(depths),
         features=np.vstack(feats),

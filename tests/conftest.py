@@ -1,8 +1,8 @@
 """Shared helpers for the test suite.
 
-The leave-one-well-out benchmark used by several tests lives here. It
-selects features and runs the splits through the functions `welldesc run`
-calls, select_features and run_blind_tests.
+The leave-one-well-out benchmark used by several tests lives here. It runs
+the splits as `welldesc run` does: run_blind_tests on the whole labelled
+table, with relief_k set so that it selects the features itself.
 """
 
 import os
@@ -31,11 +31,16 @@ def absolute_src_on_pythonpath(monkeypatch):
     monkeypatch.setenv("PYTHONPATH", os.pathsep.join([SRC, *rest]))
 
 
-def benchmark_dataset(seed, n_wells=4, rows=500, skew=0.97, n_features=6, relief_k=4):
-    """Synthetic multi-well dataset with the top relief features selected."""
+def benchmark_labeled(seed, n_wells=4, rows=500, skew=0.97, n_features=6):
+    """Synthetic multi-well dataset with every feature."""
     table = gen_synthetic(SynthConfig(n_wells=n_wells, rows_per_well=rows,
                                       skew=skew, n_features=n_features, seed=seed))
-    data = binarize_target(table, 0.7)
+    return binarize_target(table, 0.7)
+
+
+def benchmark_dataset(seed, n_wells=4, rows=500, skew=0.97, n_features=6, relief_k=4):
+    """benchmark_labeled with the top relief features selected."""
+    data = benchmark_labeled(seed, n_wells, rows, skew, n_features)
     _, top = select_features(data, relief_k)
     data.X = data.X[:, top]
     data.feature_names = [data.feature_names[i] for i in top]
@@ -43,8 +48,9 @@ def benchmark_dataset(seed, n_wells=4, rows=500, skew=0.97, n_features=6, relief
 
 
 def benchmark_records(seed, cost=BENCH_COST):
-    """Every classifier on every well of benchmark_dataset(seed)."""
-    records, failed = run_blind_tests(benchmark_dataset(seed), BENCH_KERNEL, cost)
+    """Every classifier on every well of benchmark_labeled(seed), on its top 4
+    relief features."""
+    records, failed = run_blind_tests(benchmark_labeled(seed), BENCH_KERNEL, cost, relief_k=4)
     assert not failed
     return records
 

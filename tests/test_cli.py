@@ -96,6 +96,26 @@ def test_synth_negative_seed_exits_two(tmp_path):
     assert not (tmp_path / "synthetic.csv").exists()
 
 
+@pytest.mark.parametrize("flag", ["--rows", "--features"])
+def test_synth_oversized_table_exits_two(tmp_path, capsys, flag):
+    """A table too large to allocate is refused by the cell cap, not left to
+    escape as a MemoryError."""
+    code = welldesc.cli.main(["synth", flag, "1000000000000", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "over the cap of 10,000,000 cells" in err
+    assert not (tmp_path / "synthetic.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["prepare", "features", "run"])
+def test_seed_is_a_synth_flag_only(command, capsys):
+    """Only synth draws random numbers; a seed= config line stays accepted."""
+    with pytest.raises(SystemExit) as exc:
+        welldesc.cli.build_parser().parse_args([command, "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------ prepare
 
 def test_prepare_preserves_clean_rows_and_reports_balance(tmp_path):
@@ -140,8 +160,10 @@ def test_prepare_bad_spacing_exits_two(tmp_path, spacing):
 @pytest.mark.parametrize("flags, message", [
     (["--bins", "0"], "need at least one bin"),
     (["--bins", "-1"], "need at least one bin"),
+    (["--bins", "10000001"], "10,000,001 bins is over the cap of 10,000,000"),
+    (["--bins", "1000000000000"], "1,000,000,000,000 bins is over the cap of 10,000,000"),
     (["--threshold", "1.5"], "threshold must lie in (0, 1), got 1.5"),
-], ids=["0", "-1", "threshold"])
+], ids=["0", "-1", "cap-plus-1", "1e12", "threshold"])
 def test_prepare_bad_bins_writes_nothing(tmp_path, capsys, flags, message):
     """The histogram and the labels are made before any file is written."""
     assert welldesc.cli.main(["synth", *SMALL_SYNTH, "--out", str(tmp_path)]) == 0
@@ -526,6 +548,27 @@ def test_run_no_external_minority(tmp_path):
     assert r.returncode == 4
 
 
+def test_held_out_well_without_minority_rows_reads_na(tmp_path, capsys):
+    """Well C has no minority rows, so its sensitivity is undefined: its
+    report rows read NA in the three metric cells and keep their timings, its
+    models are written, and run exits 0."""
+    csv = tmp_path / "no_minority_in_c.csv"
+    rows = [f"{w},{i},0.{i}{k},0.{7 - i},{'0.1' if w != 'C' and i % 2 else '0.9'}"
+            for k, w in enumerate("ABC") for i in range(1, 7)]
+    csv.write_text("well,depth,f1,f2,sw\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    code = welldesc.cli.main(["run", "--input", str(csv), "--cost", "0.5", "--relief-k", "2",
+                              "--classifiers", "svdd,gnb", "--test-wells", "C,A",
+                              "--out", str(tmp_path)])
+    assert code == 0, capsys.readouterr().err
+    lines = (tmp_path / "report.csv").read_text().splitlines()
+    for clf in ("svdd", "gnb"):
+        cells = next(ln for ln in lines if ln.startswith(f"{clf},C,")).split(",")
+        assert cells[2:5] == ["NA"] * 3 and "NA" not in cells[5:]
+        average = next(ln for ln in lines if ln.startswith(f"{clf},average,")).split(",")
+        assert "NA" not in average
+        assert (tmp_path / f"model_{clf}_C.txt").exists()
+
+
 def test_split_without_minority_exits_four_before_relief(tmp_path, monkeypatch, capsys):
     """Only well C has minority rows, so holding C out, the last split, leaves
     none to train on: run exits 4 before Relief and before the splits that
@@ -700,6 +743,27 @@ def test_flags_override_config_file(tmp_path):
     assert r.returncode == 0, r.stderr
     lines = (tmp_path / "report.csv").read_text().strip().split("\n")
     assert all(ln.startswith("lda,") for ln in lines[1:])
+
+
+def test_config_file_with_a_byte_order_mark(tmp_path):
+    """Windows editors often start a UTF-8 file with a byte-order mark."""
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_text("threshold=0.6\n", encoding="utf-8-sig")
+    assert welldesc.cli.read_config_file(cfg) == {"threshold": 0.6}
+
+
+def test_config_line_without_equals_rejected(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# settings\ncost 0.1\n", encoding="utf-8")
+    with pytest.raises(welldesc.errors.InvalidConfig,
+                       match=r"run.cfg:2: expected key=value, got 'cost 0.1'"):
+        welldesc.cli.read_config_file(cfg)
+
+
+def test_run_without_input_exits_two(tmp_path, capsys):
+    code = welldesc.cli.main(["run", "--out", str(tmp_path)])
+    assert (code, capsys.readouterr().err) == (
+        2, "error: no input file; pass --input or set input= in the config\n")
 
 
 def test_config_unknown_key_rejected(tmp_path):

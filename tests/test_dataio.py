@@ -105,6 +105,12 @@ def test_header_without_depth_rejected(tmp_path):
         load_table(path, SCHEMA)
 
 
+@pytest.mark.parametrize("schema", [[], ["SW"]], ids=["empty", "target-only"])
+def test_schema_without_a_feature_rejected(tmp_path, schema):
+    path = write_csv(tmp_path / "t.csv", ["W1,100,10,0.2,2.3,80,0.5"])
+    assert assert_same_outcome(path, schema) == "MalformedFile"
+
+
 def test_header_missing_schema_column_rejected(tmp_path):
     path = write_csv(tmp_path / "bad.csv", ["W1,100,10,0.2,2.3,0.5"],
                      header="well,depth,GR,NPHI,RHOB,SW")
@@ -186,7 +192,7 @@ def reference_write_table(t, path):
 def _written_table(well_ids, values):
     """A table of the given per-row well ids and [depth, f1, f2, sw] rows."""
     values = np.asarray(values, dtype=float).reshape(len(well_ids), 4)
-    return WellTable(wells=list(dict.fromkeys(well_ids)), well_ids=np.array(well_ids, dtype=str),
+    return WellTable(well_ids=np.array(well_ids, dtype=str),
                      depth=values[:, 0], features=values[:, 1:3], target=values[:, 3],
                      feature_names=["f1", "f2"], target_name="sw")
 
@@ -331,7 +337,6 @@ def reference_load_table(path, schema):
         order.extend(idx)
 
     return WellTable(
-        wells=wells,
         well_ids=np.array([well_col[i] for i in order]),
         depth=np.array([depth_col[i] for i in order], dtype=float),
         features=np.array([feat_rows[i] for i in order], dtype=float).reshape(len(order), len(feature_names)),
@@ -750,7 +755,6 @@ def test_complete_table_is_shared_and_left_unchanged(tmp_path, monkeypatch):
 def _one_well_table(depths, col, target):
     n = len(depths)
     return WellTable(
-        wells=["W1"],
         well_ids=np.array(["W1"] * n),
         depth=np.asarray(depths, dtype=float),
         features=np.asarray(col, dtype=float).reshape(n, 1),
@@ -774,6 +778,24 @@ def test_resample_identity_on_uniform_grid():
     assert np.array_equal(r.depth, t.depth)
     assert np.array_equal(r.features, t.features)
     assert np.array_equal(r.target, t.target)
+
+
+def test_wells_are_read_off_rows_not_grouped_by_well():
+    """A table's wells are its distinct well ids in first-appearance order, so
+    rows not grouped by well keep their wells through resampling, labelling
+    and every split."""
+    t = WellTable(well_ids=np.array(["B", "A", "B", "A"]), depth=np.array([1.0, 1.0, 2.0, 2.0]),
+                  features=np.arange(4.0).reshape(4, 1), target=np.array([0.1, 0.2, 0.9, 0.8]),
+                  feature_names=["f1"], target_name="sw")
+    assert t.wells == ["B", "A"]
+    r = resample_uniform(t)
+    assert r.well_ids.tolist() == ["B", "B", "A", "A"]
+    assert r.features[:, 0].tolist() == [0.0, 2.0, 1.0, 3.0]
+    d = binarize_target(r, 0.5)
+    assert d.wells == ["B", "A"]
+    plans = [split_leave_one_well_out(d, w) for w in d.wells]
+    assert [p.train_rows.tolist() for p in plans] == [[2], [0]]
+    assert [p.fit_rows.tolist() for p in plans] == [[2, 3], [0, 1]]
 
 
 def _interp_each_well(t):
@@ -808,7 +830,7 @@ def _two_well_table(depths):
     rng = np.random.default_rng(7)
     features = rng.normal(size=(2 * n, 3))
     features[1, 0] = features[n + 2, 2] = -0.0
-    return WellTable(wells=["A", "B"], well_ids=np.array(["A"] * n + ["B"] * n),
+    return WellTable(well_ids=np.array(["A"] * n + ["B"] * n),
                      depth=np.concatenate([depths, 40.0 + 0.25 * np.arange(n)]),
                      features=features, target=rng.uniform(size=2 * n),
                      feature_names=["f1", "f2", "f3"], target_name="sw")
@@ -961,7 +983,6 @@ def _four_well_dataset():
         targets += [0.9] * 10 + [0.1] * 2
     n = len(ids)
     t = WellTable(
-        wells=list("ABCD"),
         well_ids=np.array(ids),
         depth=np.tile(np.arange(12.0), 4),
         features=np.arange(2.0 * n).reshape(n, 2),
@@ -1188,3 +1209,29 @@ def test_synthetic_rejects_bad_config():
                 SynthConfig(n_features=1)):
         with pytest.raises(InvalidConfig):
             gen_synthetic(cfg)
+
+
+class _Allocating(Exception):
+    pass
+
+
+@pytest.mark.parametrize("wells, rows, features, refused", [
+    (10**12, 2, 2, True), (1, 10**12, 2, True), (1, 2, 10**12, True), (1, 10**9, 2, True),
+    (1, 1_000_001, 8, True), (1, 1_000_000, 8, False),
+], ids=["wells", "rows", "features", "rows-1e9", "cap-plus-10", "cap"])
+def test_synthetic_refuses_an_oversized_table_before_allocating(monkeypatch, wells, rows,
+                                                                features, refused):
+    """A table of more than MAX_GRID_ROWS cells (wells x rows x (features + 2))
+    is InvalidConfig, raised before the well names, the first thing built."""
+    def names(k):
+        raise _Allocating
+
+    monkeypatch.setattr(dataio, "_well_names", names)
+    cfg = SynthConfig(n_wells=wells, rows_per_well=rows, n_features=features)
+    with pytest.raises(InvalidConfig if refused else _Allocating):
+        gen_synthetic(cfg)
+
+
+def test_synthetic_names_more_than_26_wells_by_number():
+    t = gen_synthetic(SynthConfig(n_wells=27, rows_per_well=2, skew=0.5, n_features=2))
+    assert t.wells == [f"W{i:03d}" for i in range(1, 28)]

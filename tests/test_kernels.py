@@ -44,6 +44,17 @@ def test_dimension_mismatch_rejected():
         eval_kernel(spec, np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0]))
 
 
+@pytest.mark.parametrize("call", [
+    lambda spec: kernel_row(spec, np.ones(2), np.ones((4, 3))),
+    lambda spec: kernel_diag(spec, np.ones(3)),
+    lambda spec: kernels.kernel_sum(spec, [1.0], np.ones((1, 2)), np.ones((4, 3))),
+    lambda spec: gram(spec, np.ones(3)),
+], ids=["kernel_row", "kernel_diag", "kernel_sum", "gram"])
+def test_block_shape_mismatch_rejected(call):
+    with pytest.raises(DimensionMismatch):
+        call(KernelSpec())
+
+
 def test_bounds_and_symmetry():
     rng = np.random.default_rng(5)
     specs = [KernelSpec(width=0.7), KernelSpec(family="erbf", width=1.3),

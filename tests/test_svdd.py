@@ -16,8 +16,8 @@ from welldesc import (
     radius2_of,
     train,
 )
-from welldesc.errors import (EmptyTrainingSet, InfeasibleCost, InvalidConfig, NonConvergence,
-                             NonFiniteInput)
+from welldesc.errors import (DimensionMismatch, EmptyTrainingSet, InfeasibleCost, InvalidConfig,
+                             NonConvergence, NonFiniteInput)
 from welldesc.kernels import gram
 
 import oracle
@@ -78,6 +78,11 @@ def test_cost_at_one_over_n_is_feasible():
 def test_empty_training_set_rejected():
     with pytest.raises(EmptyTrainingSet):
         train_simple(np.empty((0, 3)))
+
+
+def test_training_vectors_must_form_a_matrix():
+    with pytest.raises(DimensionMismatch, match=r"2-d sample matrix, got shape \(3,\)"):
+        train_simple([1.0, 2.0, 3.0])
 
 
 # ------------------------------------------------------- scoring and labels

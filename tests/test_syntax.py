@@ -1,4 +1,5 @@
-"""Every source and test file parses as Python 3.10, the oldest version pyproject.toml allows.
+"""Every source and test file parses as Python 3.10, the oldest version pyproject.toml allows,
+and no package module imports a name it never uses.
 
 CI lists a 3.10 entry, but a machine without a 3.10 interpreter never runs
 it; this check catches newer syntax under any interpreter.
@@ -11,6 +12,12 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(path for folder in ("src", "tests") for path in (ROOT / folder).rglob("*.py"))
+# every package module but __init__.py, whose imports are the public API
+MODULES = sorted(path for path in (ROOT / "src" / "welldesc").glob("*.py")
+                 if path.name != "__init__.py")
+# imports no code in their module reads: perfbench/spans.py wraps them on the
+# modules that import them, to time or count the kernel calls a pass makes
+TRACER_ONLY = {"svdd.py": {"eval_kernel", "kernel_row"}, "baselines.py": {"gram"}}
 
 
 @pytest.mark.parametrize("path", FILES, ids=lambda path: str(path.relative_to(ROOT)))
@@ -25,3 +32,13 @@ def test_file_parses_as_python_3_10(path):
 def test_newer_syntax_is_rejected(code):
     with pytest.raises(SyntaxError):
         ast.parse(code, feature_version=(3, 10))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_package_module_uses_every_name_it_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert imported - used == TRACER_ONLY.get(path.name, set())
