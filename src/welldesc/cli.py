@@ -8,12 +8,13 @@ The CLI judges no value's range: each rule has one home in the library
 baselines.check_svm_cost, smo.check_passes), and run_blind_tests applies the
 run's rules once the splits are planned, before Relief.
 
-Exit codes: 0 ok, 2 bad configuration or input schema, an input or config
-file that is not UTF-8, a file the system cannot open or make (an OSError:
-missing, a directory, an --out that names a file), or any other
-WelldescError without a code of its own, 3 cleaning removed every row, 4 no
-minority rows left to train on, 5 a trainer failed to converge (the report
-is still written with NA cells). No toolkit error leaves as a traceback.
+Exit codes: 0 ok, 2 bad configuration or input schema, an input with no
+data rows, an input or config file that is not UTF-8, a file the system
+cannot open or make (an OSError: missing, a directory, an --out that names
+a file), or any other WelldescError without a code of its own, 3 cleaning
+removed every row, 4 no minority rows left to train on, 5 a trainer failed
+to converge (the report is still written with NA cells). No toolkit error
+leaves as a traceback.
 """
 
 import argparse
@@ -23,6 +24,7 @@ import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import get_args
+from urllib.parse import quote
 
 import numpy as np
 
@@ -254,7 +256,8 @@ def run_blind_tests(labeled, kernel: KernelSpec, cost: float, classifiers=None,
     plus the majority rows of the other wells. So each baseline's
     specificity includes rows it was fitted on (74% of the test rows on the
     README walkthrough); the hypersphere's does not. Sensitivity comes from
-    the held-out well's minority rows alone.
+    the held-out well's minority rows alone. Models go to out_dir, when set,
+    as model_<classifier>_<well>.txt, the well id percent-encoded.
     """
     # name -> (trains on the minority rows only, train(X, y, stats), predict).
     # Built per call, so each entry is the module global the caller sees now.
@@ -315,7 +318,7 @@ def run_blind_tests(labeled, kernel: KernelSpec, cost: float, classifiers=None,
             except UndefinedClassAccuracy:
                 records.append(RunRecord(name, well, None, None, None, t_train, t_test))
             if out_dir is not None:
-                save_model(model, out_dir / f"model_{name}_{well}.txt")
+                save_model(model, out_dir / f"model_{name}_{quote(well, safe='')}.txt")
     return records, failed
 
 

@@ -334,7 +334,7 @@ def load_table(path, schema: list | None = None) -> WellTable:
     well in well order. A leading UTF-8 byte-order mark is skipped; bytes that
     are not UTF-8 raise MalformedFile, and so does a row the csv module
     refuses (a cell over its field size limit of 131,072 characters), named
-    by the line the reader stopped on.
+    by the line the reader stopped on. A file with no data row raises EmptyInput.
     """
     if schema is not None and len(schema) < 2:
         raise MalformedFile("schema needs at least one feature column and a target column")
@@ -369,6 +369,8 @@ def load_table(path, schema: list | None = None) -> WellTable:
         raise MalformedFile(f"{path}: not UTF-8 text ({exc.reason})") from exc
     except csv.Error as exc:  # a cell over the csv module's field size limit, say
         raise MalformedFile(f"{path}: line {reader.line_num}: {exc}") from exc
+    if not parsed[1].size:  # a header alone, or blank and comma-only lines after it
+        raise EmptyInput(f"{path}: no data rows")
     return _sorted_table(path, *parsed, feature_names, target_name)
 
 

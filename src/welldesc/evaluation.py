@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import HIGH, LOW
+from .dataio import HIGH, LOW, _csv_cell
 from .errors import EmptyInput, LengthMismatch, UndefinedClassAccuracy
 
 
@@ -90,7 +90,8 @@ def _avg(cells):
 
 def compare_report(records) -> str:
     """CSV comparison table, one row per (classifier, well) plus per-classifier
-    averages. Metrics print with 4 decimals, times with 3."""
+    averages. Metrics print with 4 decimals, times with 3, and a well id is
+    quoted as write_table quotes it."""
     records = list(records)
     if not records:
         raise EmptyInput("no run records")
@@ -106,7 +107,7 @@ def compare_report(records) -> str:
                      _cell(r.g_mean, ".4f"), _cell(r.train_seconds, ".3f"),
                      _cell(r.test_seconds, ".3f")]
             printed.append(cells)
-            lines.append(",".join([clf, r.well, *cells]))
+            lines.append(",".join([clf, _csv_cell(r.well), *cells]))
         averages = [_avg([row[k] for row in printed]) for k in range(5)]
         lines.append(",".join([
             clf, "average",

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidConfig, MalformedFile
+from .errors import DimensionMismatch, InvalidConfig
 
 # Entries of one Gram block's (d, rows, n) temporary: 256 KB of float64,
 # however many rows and features the sample has.
@@ -77,36 +77,6 @@ class KernelSpec:
                 raise InvalidConfig("polynomial degree must lie in [2, 10]")
             if not 0 <= self.offset < math.inf:
                 raise InvalidConfig(f"polynomial offset must be >= 0 and finite, got {self.offset!r}")
-
-    def describe(self) -> str:
-        """One-line serialized form used in model files."""
-        if self.family == POLYNOMIAL:
-            return f"kernel=polynomial degree={self.degree} offset={self.offset!r}"
-        return f"kernel={self.family} width={self.width!r}"
-
-    @staticmethod
-    def parse(line: str) -> "KernelSpec":
-        """Inverse of describe(). A line the constructor refuses is malformed:
-        no trainer writes one. load_model turns the constructor's
-        InvalidConfig into MalformedFile."""
-        fields = {}
-        for token in line.split():
-            if "=" not in token:
-                raise MalformedFile(f"bad kernel token {token!r}")
-            key, _, value = token.partition("=")
-            fields[key] = value
-        try:
-            family = fields.pop("kernel")
-            if family == POLYNOMIAL:
-                spec = KernelSpec(family=family, degree=int(fields.pop("degree")),
-                                  offset=float(fields.pop("offset")))
-            else:
-                spec = KernelSpec(family=family, width=float(fields.pop("width")))
-        except (KeyError, ValueError) as exc:
-            raise MalformedFile(f"bad kernel line {line!r}") from exc
-        if fields:
-            raise MalformedFile(f"unexpected kernel fields {sorted(fields)}")
-        return spec
 
 
 def _feature_sum(T: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@ One model per file: a format tag, then key=value lines of comma-separated
 numbers at 17 significant digits, so a load reproduces the saved doubles bit
 for bit. _FORMATS, keyed by model type, is the one table of formats: the tag
 (SVDD-MODEL v2, SVM-MODEL v1, GNB-MODEL v1, LDA-MODEL v1), whether a kernel
-line (KernelSpec.describe()) follows it, and the functions that dump the
+line (_kernel_line) follows it, and the functions that dump the
 model's lines in file order and load it back. Scalars and vectors take a line
 each (C=, norm_mean=, ...), stored vectors one line apiece (alpha= x=,
 beta= y= x=, cov=), each table of them formatted through one %.17g row
@@ -38,7 +38,7 @@ from . import svdd as _svdd
 from .baselines import GnbModel, LdaModel, SvmModel, _lda_discriminant
 from .dataio import STD_FLOOR, NormStats, open_new
 from .errors import InvalidConfig, MalformedFile, SingularCovariance
-from .kernels import KernelSpec, gram
+from .kernels import POLYNOMIAL, KernelSpec, gram
 
 # Largest |sum(alpha) - 1| (SVDD) and |sum(beta * y)| / sum(beta) (SVM) a
 # loaded model may show: the solver keeps both sums to rounding error.
@@ -60,6 +60,31 @@ def _fields(body, path) -> dict:
             raise MalformedFile(f"{path}: expected key=value tokens, got {line!r}")
         fields.setdefault(keys[0], []).append((keys, values))
     return fields
+
+
+def _kernel_line(spec: KernelSpec) -> str:
+    if spec.family == POLYNOMIAL:
+        return f"kernel=polynomial degree={spec.degree} offset={spec.offset!r}"
+    return f"kernel={spec.family} width={spec.width!r}"
+
+
+def _kernel(line: str, path) -> KernelSpec:
+    """The spec of a kernel line: exactly `kernel=<family> width=..`, or
+    `kernel=polynomial degree=.. offset=..`, each key once and in that order.
+    KernelSpec judges the values: one it refuses is malformed, as no trainer
+    writes it."""
+    [(keys, values)] = _fields([line], path).popitem()[1]
+    want = ("kernel", "degree", "offset") if values[0] == POLYNOMIAL else ("kernel", "width")
+    if keys[:len(want)] == want and len(keys) > len(want):
+        raise MalformedFile(f"{path}: unexpected kernel fields {sorted(keys[len(want):])}")
+    if keys != want:
+        raise MalformedFile(f"{path}: bad kernel line {line!r}: expected keys {want}")
+    try:
+        if values[0] == POLYNOMIAL:
+            return KernelSpec(POLYNOMIAL, degree=int(values[1]), offset=float(values[2]))
+        return KernelSpec(values[0], width=float(values[1]))
+    except (ValueError, InvalidConfig) as exc:  # an unknown family or a parameter out of range
+        raise MalformedFile(f"{path}: bad kernel line {line!r}: {exc}") from exc
 
 
 def _rows(fields, keys: tuple, path, width: int | None = None, count: int | None = None) -> list:
@@ -209,7 +234,7 @@ def _load_lda(fields, kernel, path) -> LdaModel:
 
 class _Format(NamedTuple):
     tag: str
-    kernel: bool            # the body starts with KernelSpec.describe()
+    kernel: bool            # the body starts with a kernel line (_kernel_line)
     dump: Callable | None   # model -> body lines after the kernel line; None: a tag only read
     load: Callable          # (fields, kernel or None, path) -> model
 
@@ -240,7 +265,7 @@ def save_model(model, path) -> None:
     fmt = _FORMATS.get(type(model))
     if fmt is None:
         raise TypeError(f"cannot persist {type(model).__name__}")
-    lines = [fmt.tag, *([model.kernel.describe()] if fmt.kernel else []), *fmt.dump(model)]
+    lines = [fmt.tag, *([_kernel_line(model.kernel)] if fmt.kernel else []), *fmt.dump(model)]
     with open_new(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -261,8 +286,5 @@ def load_model(path):
     if fmt.kernel:
         if not body:
             raise MalformedFile(f"{path}: truncated model")
-        try:
-            kernel, body = KernelSpec.parse(body[0]), body[1:]
-        except InvalidConfig as exc:  # an unknown family or a parameter out of range
-            raise MalformedFile(f"{path}: bad kernel line {body[0]!r}: {exc}") from exc
+        kernel, body = _kernel(body[0], path), body[1:]
     return fmt.load(_fields(body, path), kernel, path)

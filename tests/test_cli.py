@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import importlib.util
 import os
 import subprocess
@@ -6,8 +7,10 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import welldesc
 import welldesc.cli
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -307,6 +310,27 @@ def test_run_report_shape_and_models(tmp_path):
         assert any(ln.startswith(f"{clf},average,") for ln in lines)
 
 
+def test_run_with_unusual_well_ids(tmp_path):
+    """A well id holding a `/`, a comma, a space, a non-ASCII letter or a `%`
+    names one model file in --out, the id percent-encoded; every file loads
+    again, and report.csv quotes the id that holds a comma."""
+    table = welldesc.load_table(prepare_in_process(tmp_path))
+    names = {"A": "15/9-F-11 B", "B": "W,1 é%"}
+    table.well_ids = np.array([names[w] for w in table.well_ids.tolist()])
+    welldesc.write_table(table, tmp_path / "odd.csv")
+    out = tmp_path / "out"
+    assert welldesc.cli.main(["run", "--input", str(tmp_path / "odd.csv"), "--cost", "0.25",
+                              "--relief-k", "2", "--out", str(out)]) == 0
+    encoded = ("15%2F9-F-11%20B", "W%2C1%20%C3%A9%25")
+    want = {f"model_{clf}_{well}.txt" for clf in ("svdd", "svm", "gnb", "lda") for well in encoded}
+    assert {path.name for path in out.iterdir()} == want | {"report.csv"}
+    for name in want:
+        welldesc.load_model(out / name)
+    rows = list(csv.reader((out / "report.csv").read_text(encoding="utf-8").splitlines()))
+    assert {len(row) for row in rows} == {7}
+    assert [row[1] for row in rows[1:4]] == [*names.values(), "average"]
+
+
 def test_run_subset_of_classifiers_and_wells(tmp_path):
     r = run_small(tmp_path, "--classifiers", "svdd,gnb", "--test-wells", "B")
     assert r.returncode == 0, r.stderr
@@ -453,7 +477,11 @@ def test_flag_and_config_line_are_read_alike(tmp_path, monkeypatch, capsys, key,
     ("well,depth,sw\nA,1,0.5\n", "need at least one feature column and a target column"),
     ("depth,f1,sw\n1,0.5,0.5\n", "missing column 'well'"),
     ("well,depth,f1,f1,sw\nA,1,0.5,0.6,0.5\n", "column 'f1' appears 2 times in the header"),
-], ids=["empty", "blank-first-line", "no-feature-column", "no-well-column", "repeated-column"])
+    # no data row is an empty input, not a table that cleaning emptied (exit 3)
+    ("well,depth,f1,sw\n", "no data rows"),
+    ("well,depth,f1,sw\n\n,,,\n , ,, \n", "no data rows"),
+], ids=["empty", "blank-first-line", "no-feature-column", "no-well-column", "repeated-column",
+        "header-only", "header-and-blank-lines"])
 def test_run_header_error_exits_two(tmp_path, capsys, text, message):
     path = tmp_path / "h.csv"
     path.write_text(text, encoding="utf-8")

@@ -325,6 +325,8 @@ def reference_load_table(path, schema):
             if not math.isnan(tv) and not 0.0 <= tv <= 1.0:
                 raise MalformedFile(f"{path}: line {line_no}: target {tv} outside [0, 1]")
             target_col.append(tv)
+    if not well_col:
+        raise EmptyInput(f"{path}: no data rows")
 
     wells = list(dict.fromkeys(well_col))
     order: list = []

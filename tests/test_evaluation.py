@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import time
 
@@ -190,6 +192,19 @@ def test_report_averages_recompute_from_printed_rows():
         for k, fmt in enumerate((".4f", ".4f", ".4f", ".3f", ".3f")):
             mean = sum(float(r[k]) for r in rows) / len(rows)
             assert format(mean, fmt) == averages[clf][k]
+
+
+def test_report_quotes_a_well_id_as_csv_needs():
+    """An id holding a comma, a quote or a line break is one quoted cell, as
+    write_table writes it; a plain id is written as it stands."""
+    wells = ["W,1", 'W"2', "W\n3", "15/9-F-11 B"]
+    report = compare_report([_rec("gnb", w, g=0.5, sens=0.4, spec=0.625, tr=1.0, te=2.0)
+                             for w in wells])
+    rows = list(csv.reader(io.StringIO(report, newline="")))
+    assert {len(row) for row in rows} == {7}
+    assert [row[1] for row in rows[1:]] == [*wells, "average"]
+    assert report.split("\n")[1] == 'gnb,"W,1",0.4000,0.6250,0.5000,1.000,2.000'
+    assert "\ngnb,15/9-F-11 B,0.4000," in report
 
 
 def test_report_groups_preserve_first_seen_order():

@@ -6,7 +6,8 @@ two small tables, one numpy's C reader takes and one with a blank cell, so
 both of load_table's paths read it.
 
 Every mutated model file, in each of the five formats load_model reads, must
-either raise MalformedFile or load and predict without a warning.
+either raise a MalformedFile whose message starts with the file's path, or
+load and predict without a warning.
 
 Every draw of `run` settings, given as flags or config lines and holding
 zeros, subnormals, overflowing numbers, NaNs, infinities, blanks, text,
@@ -214,8 +215,9 @@ def test_mutated_model_files_fail_cleanly_or_predict_silently(tmp_path):
                     labels = predict_fn(load_model(path), queries)
                     outcome = "predicted"
                     assert labels.shape == (len(queries),)
-                except MalformedFile:
+                except MalformedFile as exc:
                     outcome = "malformed"
+                    assert str(exc).startswith(f"{path}: "), f"{kind} mutant {k}: {exc}"
                 except Exception as exc:
                     pytest.fail(f"{kind} mutant {k}: {exc!r}\n{data!r}")
             outcomes[kind, outcome] = outcomes.get((kind, outcome), 0) + 1

@@ -7,7 +7,7 @@ import pytest
 from welldesc import KernelSpec, eval_kernel, gram, kernel_row
 from welldesc import kernels
 from welldesc.kernels import kernel_diag
-from welldesc.errors import DimensionMismatch, InvalidConfig, MalformedFile
+from welldesc.errors import DimensionMismatch, InvalidConfig
 
 
 def test_gaussian_is_one_at_zero_distance():
@@ -193,26 +193,6 @@ def test_kernel_row_and_diag_are_gram_bits(d):
         for i in range(X.shape[0]):
             assert kernel_row(spec, X[i], X).tobytes() == G[:, i].tobytes()
         assert kernel_diag(spec, X).tobytes() == G.diagonal().tobytes()
-
-
-def test_describe_parse_round_trip():
-    for spec in (KernelSpec(width=2.0),
-                 KernelSpec(family="erbf", width=0.25),
-                 KernelSpec(family="polynomial", degree=5, offset=1.5)):
-        assert KernelSpec.parse(spec.describe()) == spec
-
-
-def test_describe_format_is_stable():
-    assert KernelSpec(width=2.0).describe() == "kernel=gaussian width=2.0"
-    assert (KernelSpec(family="polynomial", degree=3, offset=1.0).describe()
-            == "kernel=polynomial degree=3 offset=1.0")
-
-
-def test_parse_rejects_garbage():
-    with pytest.raises(InvalidConfig):
-        KernelSpec.parse("kernel=unknown width=1.0")
-    with pytest.raises(MalformedFile):
-        KernelSpec.parse("no equals signs here")
 
 
 # -- layouts, zero widths and the blocked Gram --------------------------------

@@ -22,6 +22,7 @@ from welldesc import (
 )
 from welldesc.baselines import GnbModel, LdaModel, SvmModel
 from welldesc.errors import MalformedFile
+from welldesc.persist import _kernel, _kernel_line
 from welldesc.svdd import SvddModel
 
 WIDE = KernelSpec(width=2.0)
@@ -69,7 +70,7 @@ def _v1_text(m) -> str:
     def fmt(values):
         return ",".join(f"{v:.17g}" for v in np.ravel(values))
 
-    lines = ["SVDD-MODEL v1", m.kernel.describe(), f"C={fmt(m.C)}", f"r2={fmt(m.r2)}",
+    lines = ["SVDD-MODEL v1", _kernel_line(m.kernel), f"C={fmt(m.C)}", f"r2={fmt(m.r2)}",
              f"norm_mean={fmt(m.norm_stats.mean)}", f"norm_std={fmt(m.norm_stats.std)}",
              *(f"alpha={fmt(a)} x={fmt(x)}" for a, x in zip(m.alphas, m.X_train))]
     return "\n".join(lines) + "\n"
@@ -181,6 +182,26 @@ def test_file_format_shape(tmp_path, kind):
         assert repeats < m.alphas.size
     if kind == "lda":
         assert lines[-2:] == [f"cov={','.join(f'{v:.17g}' for v in row)}" for row in m.cov]
+
+
+def test_kernel_line_round_trip():
+    for spec in (KernelSpec(width=2.0),
+                 KernelSpec(family="erbf", width=0.25),
+                 KernelSpec(family="polynomial", degree=5, offset=1.5)):
+        assert _kernel(_kernel_line(spec), "m.txt") == spec
+
+
+def test_kernel_line_format_is_stable():
+    assert _kernel_line(KernelSpec(width=2.0)) == "kernel=gaussian width=2.0"
+    assert (_kernel_line(KernelSpec(family="polynomial", degree=3, offset=1.0))
+            == "kernel=polynomial degree=3 offset=1.0")
+
+
+def test_kernel_line_rejects_garbage():
+    with pytest.raises(MalformedFile, match="^m.txt: bad kernel line .*unknown kernel family 'unknown'"):
+        _kernel("kernel=unknown width=1.0", "m.txt")
+    with pytest.raises(MalformedFile, match="^m.txt: expected key=value tokens"):
+        _kernel("no equals signs here", "m.txt")
 
 
 def test_gnb_round_trip(tmp_path):
@@ -323,6 +344,19 @@ _MALFORMED = {
                          "bad kernel line"),
     "kernel-line-extra-fields": ("svm", lambda t: _swap_first(t, "kernel=", "kernel=gaussian width=2.0 degree=3"),
                                  r"unexpected kernel fields \['degree'\]"),
+    # the kernel line takes each key once, in the order _kernel_line writes them
+    "kernel-key-repeated": ("svm", lambda t: _swap_first(t, "kernel=", "kernel=gaussian width=1 width=3"),
+                            r"unexpected kernel fields \['width'\]"),
+    "kernel-polynomial-key-repeated": ("svdd", lambda t: _swap_first(
+        t, "kernel=", "kernel=polynomial degree=2 degree=3 offset=1.0"), "bad kernel line"),
+    "kernel-keys-reordered": ("svdd", lambda t: _swap_first(t, "kernel=", "width=2.0 kernel=gaussian"),
+                              "bad kernel line"),
+    "kernel-polynomial-keys-reordered": ("svm", lambda t: _swap_first(
+        t, "kernel=", "kernel=polynomial offset=1.0 degree=2"), "bad kernel line"),
+    "kernel-degree-not-an-integer": ("svdd", lambda t: _swap_first(
+        t, "kernel=", "kernel=polynomial degree=2.0 offset=1.0"), "bad kernel line .*invalid literal for int"),
+    "kernel-token-without-equals": ("svm", lambda t: _swap_first(t, "kernel=", "kernel=gaussian width 2.0"),
+                                    "expected key=value tokens"),
     "tag-only": ("svdd", lambda t: t.split("\n")[0] + "\n", "truncated model"),
     "svdd-r2-nan": ("svdd", lambda t: _swap_first(t, "r2=", "r2=nan"), "'r2' holds a NaN or an infinite value"),
     "svm-bias-inf": ("svm", lambda t: _swap_first(t, "bias=", "bias=inf"), "'bias' holds a NaN or an infinite value"),
@@ -428,5 +462,6 @@ def test_malformed_vector_lines_rejected(tmp_path, case):
     text = path.read_text(encoding="utf-8")
     assert edit(text) != text
     path.write_text(edit(text), encoding="utf-8")
-    with pytest.raises(MalformedFile, match=key):
+    with pytest.raises(MalformedFile, match=key) as caught:
         load_model(path)
+    assert str(caught.value).startswith(f"{path}: ")
